@@ -2,7 +2,7 @@
 
 Every stochastic run is keyed by an explicit 64-bit seed; replica r draws
 from a counter-based Philox generator with key (seed, r), so replica streams
-are independent of each other and of how work is scheduled across threads.
+are independent of each other and of how many replicas run.
 """
 
 from __future__ import annotations

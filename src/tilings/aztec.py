@@ -40,7 +40,6 @@ __all__ = [
     "ParticleConfig",
     "HeightField",
     "DRPathFamily",
-    "AztecDiamond",
     "square_in_diamond",
     "square_is_white",
     "diamond_squares",
@@ -80,18 +79,6 @@ def diamond_squares(n: int) -> Iterator[tuple[int, int]]:
         for x in range(-n - 1, n + 1):
             if square_in_diamond(x, y, n):
                 yield (x, y)
-
-
-@dataclass(frozen=True)
-class AztecDiamond:
-    order: int
-
-    def squares(self) -> list[tuple[int, int]]:
-        return list(diamond_squares(self.order))
-
-    def num_squares(self) -> int:
-        n = self.order
-        return 2 * n * (n + 1)
 
 
 @dataclass(frozen=True, order=True)

@@ -8,21 +8,18 @@ One executable, one subcommand per experiment::
 
 Every stochastic command takes --seed and --replicas; replica r draws from
 an independent Philox stream keyed by (seed, r), so outputs are byte
-identical across reruns and across --threads settings.  CSV files carry one
-comment line recording the resolved configuration and then a header row;
-JSON is used for structured objects, with exact integers (tiling counts)
-rendered as decimal strings.  A JSON file passed via --config supplies
-defaults that explicit flags override.
+identical across reruns.  CSV files carry one comment line recording the
+resolved configuration and then a header row; JSON is used for structured
+objects, with exact integers (tiling counts) rendered as decimal strings.
+A JSON file passed via --config supplies defaults that explicit flags
+override.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +29,7 @@ from ._rng import replica_rng
 
 __all__ = ["ExperimentConfig", "main", "run"]
 
-_THREADS_ENV = "TILINGS_THREADS"
+_MODES = ("float", "exact")  # exact where supported
 
 
 class CliError(Exception):
@@ -48,8 +45,7 @@ class ExperimentConfig:
     seed: int = 0
     replicas: int = 1
     out: str | None = None
-    threads: int = 1
-    mode: str = "float"  # float | exact where supported
+    mode: str = "float"
 
     def as_comment(self) -> str:
         payload = {
@@ -58,7 +54,6 @@ class ExperimentConfig:
             "params": {k: self.params[k] for k in sorted(self.params)},
             "replicas": self.replicas,
             "seed": self.seed,
-            "threads": self.threads,
         }
         return "# config: " + json.dumps(payload, sort_keys=True)
 
@@ -80,13 +75,7 @@ def _fmt(v) -> str:
 
 def _map_replicas(cfg: ExperimentConfig, fn):
     """fn(replica_index, rng) -> row(s); ordered by replica index."""
-    def work(r):
-        return fn(r, replica_rng(cfg.seed, r))
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(work, range(cfg.replicas)))
-    return [work(r) for r in range(cfg.replicas)]
+    return [fn(r, replica_rng(cfg.seed, r)) for r in range(cfg.replicas)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +183,7 @@ def _cmd_growth_cdf(cfg: ExperimentConfig) -> int:
     mc = int(cfg.params.get("mc-samples", 20000))
     rng = replica_rng(cfg.seed, 0)
     W = growth.sample_geometric(q, (mc, M, N), rng)
-    G = np.zeros((mc, M + 1, N + 1), dtype=np.int64)
-    for d in range(2, M + N + 1):
-        i = np.arange(max(1, d - N), min(M, d - 1) + 1)
-        j = d - i
-        G[:, i, j] = np.maximum(G[:, i - 1, j], G[:, i, j - 1]) + W[:, i - 1, j - 1]
-    g = G[:, M, N]
+    g = growth.lpp_value(W)[:, -1, -1]
     rows = []
     for t in range(tmax + 1):
         rows.append([t, growth.lpp_cdf_exact(M, N, q, t), float((g <= t).mean())])
@@ -380,12 +364,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for flag in params:
             p.add_argument(f"--{flag}", dest=flag, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--replicas", type=int, default=1)
+        # None marks "not given on the command line", so --config fills it
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--replicas", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get(_THREADS_ENV, "1")))
-        p.add_argument("--mode", choices=["float", "exact"], default="float")
+        p.add_argument("--mode", choices=_MODES, default=None)
         p.add_argument("--config", default=None)
     return parser
 
@@ -395,23 +378,22 @@ def _config_from_args(args: argparse.Namespace, params: list[str]) -> Experiment
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
-    merged = {}
-    for flag in params:
-        v = getattr(args, flag, None)
-        if v is None:
-            v = overrides.get(flag)
-        if v is not None:
-            merged[flag] = v
+
+    def pick(flag, default=None):
+        v = getattr(args, flag)
+        return overrides.get(flag, default) if v is None else v
+
+    merged = {flag: v for flag in params if (v := pick(flag)) is not None}
+    mode = pick("mode", "float")
+    if mode not in _MODES:
+        raise CliError("bad-mode", f"mode must be one of {_MODES}, got {mode!r}")
     return ExperimentConfig(
         command=args.command,
         params=merged,
-        seed=args.seed if args.seed != 0 or "seed" not in overrides
-        else int(overrides["seed"]),
-        replicas=args.replicas if args.replicas != 1 or "replicas" not in overrides
-        else int(overrides["replicas"]),
-        out=args.out or overrides.get("out"),
-        threads=args.threads,
-        mode=args.mode,
+        seed=int(pick("seed", 0)),
+        replicas=int(pick("replicas", 1)),
+        out=pick("out"),
+        mode=mode,
     )
 
 

@@ -58,22 +58,24 @@ def sample_weight_matrix(M: int, N: int, q: float, rng: np.random.Generator) -> 
 
 
 def lpp_value(W: np.ndarray) -> np.ndarray:
-    """Full last-passage table G[i, j] (1-based cells stored 0-based).
+    """Full last-passage table G[..., i, j] (1-based cells stored 0-based).
 
-    64-bit throughout; overflow is impossible at any realistic size but is
+    The last two axes of W are the M x N lattice; any leading axes index
+    independent weight matrices, which are swept together.  64-bit
+    throughout; overflow is impossible at any realistic size but is
     asserted anyway.
     """
     W = np.asarray(W)
-    if W.ndim != 2 or (W < 0).any():
-        raise ValueError("weight matrix must be 2-d and nonnegative")
-    M, N = W.shape
-    G = np.zeros((M + 1, N + 1), dtype=np.int64)
+    if W.ndim < 2 or (W < 0).any():
+        raise ValueError("weight matrix must be at least 2-d and nonnegative")
+    *lead, M, N = W.shape
+    G = np.zeros((*lead, M + 1, N + 1), dtype=np.int64)
     for d in range(2, M + N + 1):
         i = np.arange(max(1, d - N), min(M, d - 1) + 1)
         j = d - i
-        G[i, j] = np.maximum(G[i - 1, j], G[i, j - 1]) + W[i - 1, j - 1]
-    assert int(G[M, N]) <= np.iinfo(np.int64).max // 4
-    return G[1:, 1:]
+        G[..., i, j] = np.maximum(G[..., i - 1, j], G[..., i, j - 1]) + W[..., i - 1, j - 1]
+    assert G[..., M, N].max(initial=0) <= np.iinfo(np.int64).max // 4
+    return G[..., 1:, 1:]
 
 
 def lpp_cdf_exact(M: int, N: int, q: float, t: int) -> float:

@@ -32,8 +32,7 @@ __all__ = [
     "lgv_count",
     "macmahon",
     "column_law",
-    "hahn_law_exact",
-    "associated_hahn_law_exact",
+    "ensemble_law_exact",
     "count_tilings_dp",
     "enumerate_walks",
     "sample_hexagon",
@@ -176,18 +175,6 @@ def macmahon(a: int, b: int, c: int) -> int:
     return out.numerator
 
 
-def macmahon_closed_form(a: int, b: int, c: int) -> int:
-    """Equivalent product over one index; used as a cross-check."""
-    out = Fraction(1)
-    for j in range(b):
-        out *= Fraction(
-            math.factorial(j) * math.factorial(a + c + j),
-            math.factorial(a + j) * math.factorial(c + j),
-        )
-    assert out.denominator == 1
-    return out.numerator
-
-
 def _reflected(spec: HexagonSpec, m: int, x: tuple[int, ...]) -> tuple[int, ...]:
     gamma = column_bounds(spec, m)[2]
     return tuple(sorted(gamma - v for v in x))
@@ -226,8 +213,8 @@ def column_law(spec: HexagonSpec, m: int, kind: str = "holes",
     if method == "hahn":
         alpha, beta = abs(a - m), abs(b - m)
         if kind == "holes":
-            return hahn_law_exact(gamma, L, alpha, beta)
-        return associated_hahn_law_exact(gamma, c, alpha, beta)
+            return ensemble_law_exact(ope.DiscreteWeight.hahn(gamma, alpha, beta), L)
+        return ensemble_law_exact(ope.DiscreteWeight.associated_hahn(gamma, alpha, beta), c)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -239,42 +226,18 @@ def _squared_vandermonde(h) -> int:
     return d
 
 
-def hahn_law_exact(N: int, m: int, alpha: int, beta: int) -> dict:
-    """Hahn ensemble law over sorted m-tuples on {0..N}, exact rationals."""
-    w = ope.DiscreteWeight.hahn(N, alpha, beta)
+def ensemble_law_exact(weight: ope.DiscreteWeight, m: int) -> dict:
+    """Law of the m-particle ensemble with the given weight over sorted
+    m-tuples on {0..size}, in exact rationals: mass proportional to
+    Delta(h)^2 prod w(h_j)."""
     masses = {}
-    for h in itertools.combinations(range(N + 1), m):
+    for h in itertools.combinations(range(weight.size + 1), m):
         val = Fraction(_squared_vandermonde(h))
         for x in h:
-            val *= w.exact_weight(x)
+            val *= weight.exact_weight(x)
         masses[h] = val
     tot = sum(masses.values())
     return {h: v / tot for h, v in masses.items()}
-
-
-def associated_hahn_law_exact(N: int, m: int, alpha: int, beta: int) -> dict:
-    w = ope.DiscreteWeight.associated_hahn(N, alpha, beta)
-    masses = {}
-    for h in itertools.combinations(range(N + 1), m):
-        val = Fraction(_squared_vandermonde(h))
-        for x in h:
-            val *= w.exact_weight(x)
-        masses[h] = val
-    tot = sum(masses.values())
-    return {h: v / tot for h, v in masses.items()}
-
-
-def hahn_normalization_exact(N: int, m: int, alpha: int, beta: int) -> Fraction:
-    """Closed form for the Hahn normalization sum over ordered tuples."""
-    z = Fraction(math.factorial(m))
-    for j in range(m):
-        z *= Fraction(
-            math.factorial(j) * math.factorial(alpha + j) * math.factorial(beta + j)
-            * math.factorial(alpha + beta + j + N + 1) * math.factorial(alpha + beta + j),
-            math.factorial(alpha + beta + 2 * j) * math.factorial(alpha + beta + 2 * j + 1)
-            * math.factorial(N - j),
-        )
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +267,25 @@ def _transitions(spec: HexagonSpec, m: int, state: tuple[int, ...]):
     return out
 
 
+def _completion_counts(spec: HexagonSpec) -> list[dict[tuple[int, ...], int]]:
+    """layers[m][state]: number of ways to complete the walk family from
+    the column-m heights ``state`` to the fixed end column (states with no
+    completion are left out)."""
+    a, b, c = spec.a, spec.b, spec.c
+    layers: list[dict[tuple[int, ...], int]] = [{} for _ in range(a + b + 1)]
+    layers[a + b][tuple(a - b + 2 * k for k in range(c))] = 1
+    for m in range(a + b - 1, -1, -1):
+        for state in _column_states(spec, m):
+            tot = sum(layers[m + 1].get(nxt, 0) for nxt in _transitions(spec, m, state))
+            if tot:
+                layers[m][state] = tot
+    return layers
+
+
 def count_tilings_dp(spec: HexagonSpec) -> int:
     """Walk-family count by column DP; equals MacMahon's formula."""
-    a, b, c = spec.a, spec.b, spec.c
-    end = tuple(a - b + 2 * k for k in range(c))
-    counts = {end: 1}
-    for m in range(a + b - 1, -1, -1):
-        prev: dict[tuple[int, ...], int] = {}
-        for state in _column_states(spec, m):
-            tot = 0
-            for nxt in _transitions(spec, m, state):
-                tot += counts.get(nxt, 0)
-            if tot:
-                prev[state] = tot
-        counts = prev
-    start = tuple(2 * k for k in range(c))
-    return counts.get(start, 0)
+    start = tuple(2 * k for k in range(spec.c))
+    return _completion_counts(spec)[0].get(start, 0)
 
 
 class _DPSampler:
@@ -334,19 +300,9 @@ class _DPSampler:
             raise ValueError(
                 f"N(a,b,c) = {total_estimate} exceeds the exact-sampling limit 1e7"
             )
-        end = tuple(a - b + 2 * k for k in range(c))
-        layers = [dict() for _ in range(a + b + 1)]
-        layers[a + b][end] = 1
-        for m in range(a + b - 1, -1, -1):
-            for state in _column_states(spec, m):
-                tot = 0
-                for nxt in _transitions(spec, m, state):
-                    tot += layers[m + 1].get(nxt, 0)
-                if tot:
-                    layers[m][state] = tot
-        self.layers = layers
+        self.layers = _completion_counts(spec)
         start = tuple(2 * k for k in range(c))
-        if layers[0].get(start, 0) != total_estimate:
+        if self.layers[0].get(start, 0) != total_estimate:
             raise AssertionError("walk DP total disagrees with the product formula")
 
     def sample(self, rng: np.random.Generator) -> WalkFamily:

@@ -12,16 +12,13 @@ correctly.  The rank-N projection kernel
 drives everything downstream: determinantal correlations, exact sequential
 DPP sampling, counting statistics, gap probabilities and number variance.
 
-Recurrence coefficients: Krawtchouk has a simple closed form; for Hahn the
-closed form is cross-validated at build time against a Stieltjes/Lanczos
-construction on the discrete weight (the latter is the source of truth, and
-is also used for the associated Hahn family where no closed form is wired
-in).
+Recurrence coefficients: Krawtchouk has a simple closed form; both Hahn
+families take their coefficients and their table from a Stieltjes/Lanczos
+construction on the discrete weight, the only Hahn path.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +34,6 @@ __all__ = [
     "ProjectionKernel",
     "recurrence_from_weight",
     "krawtchouk_recurrence",
-    "hahn_recurrence",
     "build_orthonormal",
     "cd_kernel",
     "christoffel_darboux_matrix",
@@ -53,10 +49,7 @@ __all__ = [
     "hahn_edge",
     "hahn_edge_hexagon",
     "hahn_marginal",
-    "krawtchouk_poly_contour",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class ConstructionError(RuntimeError):
@@ -201,79 +194,6 @@ def recurrence_from_weight(weight: DiscreteWeight, nmax: int) -> tuple[np.ndarra
     return a, b
 
 
-def _hahn_closed_form(N: int, alpha: float, beta: float, nmax: int):
-    """Standard three-term recurrence for the Hahn weight
-    (N + alpha - x)! (beta + x)! / (x! (N - x)!)."""
-    al, be = beta, alpha  # role swap relative to the binomial-product form
-
-    def A(n):
-        return (n + al + be + 1) * (n + al + 1) * (N - n) / (
-            (2 * n + al + be + 1) * (2 * n + al + be + 2)
-        )
-
-    def C(n):
-        return n * (n + al + be + N + 1) * (n + be) / (
-            (2 * n + al + be) * (2 * n + al + be + 1)
-        )
-
-    a = np.array([math.sqrt(A(n - 1) * C(n)) for n in range(1, nmax)])
-    b = np.array([A(n) + C(n) for n in range(nmax)])
-    return a, b
-
-
-def _hahn_variant_form(N: int, alpha: float, beta: float, nmax: int):
-    """A sometimes-quoted variant of the Hahn recurrence coefficients.
-
-    Kept only as a diagnostic: its a-coefficients carry a spurious repeated
-    factor under the square root (the large-N limit is right, the finite-N
-    values are not), so this form is compared against the Lanczos
-    construction and never silently used."""
-    n = np.arange(1, nmax, dtype=float)
-    pref = n * (n + alpha) * (n + alpha + beta + N + 1) / (
-        (2 * n + alpha + beta) * (2 * n + alpha + beta + 1)
-    )
-    inside = ((N - n + 1) * (2 * n + alpha + beta + 1) * (beta + n) * (alpha + beta + n)) / (
-        (alpha + n) * (n + N + alpha + beta + 1) * n * (2 * n + alpha + beta + 1)
-    )
-    a = pref * np.sqrt(inside)
-    m = np.arange(nmax, dtype=float)
-    b = (m + alpha + beta + 1) * (m + beta + 1) * (N - m) / (
-        N * (2 * m + alpha + beta + 1) * (2 * m + alpha + beta + 2)
-    ) + m * (m + alpha) * (m + alpha + beta + N + 1) / (
-        N * (2 * m + alpha + beta) * (2 * m + alpha + beta + 1)
-    )
-    return a, b * N
-
-
-def _hahn_pick_coefficients(N, alpha, beta, nmax, aL, bL):
-    """Accept the closed form only if it matches the Lanczos construction to
-    1e-10 (relative to the spectral scale N); otherwise fall back to the
-    Lanczos coefficients.  A commonly transcribed variant of the a-coefficients is
-    checked too and a diagnostic is logged when it disagrees (it does: its
-    square root carries a spurious factor)."""
-    aC, bC = _hahn_closed_form(N, alpha, beta, nmax)
-    tol = 1e-10 * max(N, 1)
-    if np.abs(aC - aL).max(initial=0) > tol or np.abs(bC - bL).max(initial=0) > tol:
-        log.warning("Hahn closed-form recurrence rejected; using Lanczos coefficients")
-        aC, bC = aL, bL
-    aP, _bP = _hahn_variant_form(N, alpha, beta, nmax)
-    if np.abs(aP - aL).max(initial=0) > tol:
-        log.info(
-            "variant Hahn a-coefficients deviate from the weight-derived ones "
-            "by up to %.3g; using the validated form",
-            float(np.abs(aP - aL).max(initial=0)),
-        )
-    return aC, bC
-
-
-def hahn_recurrence(N: int, alpha: float, beta: float, nmax: int,
-                    weight: DiscreteWeight | None = None):
-    """Hahn coefficients, Lanczos-validated (see _hahn_pick_coefficients)."""
-    weight = weight or DiscreteWeight.hahn(N, alpha, beta)
-    aL, bL, _basis = _lanczos(weight, nmax)
-    return _hahn_pick_coefficients(N, alpha, beta, nmax, aL, bL)
-
-
 # ---------------------------------------------------------------------------
 # Orthonormal systems
 # ---------------------------------------------------------------------------
@@ -362,10 +282,6 @@ def build_orthonormal(weight: DiscreteWeight, N: int,
         a, b = krawtchouk_recurrence(weight.size, weight.params[0], nrows)
         x = np.arange(weight.size + 1, dtype=float)
         table = _phi_table(x, logw - log_total, a, b, nrows)
-    elif weight.family == "hahn":
-        aL, bL, table = _lanczos(weight, nrows)
-        a, b = _hahn_pick_coefficients(weight.size, *weight.params,
-                                       nmax=nrows, aL=aL, bL=bL)
     else:
         a, b, table = _lanczos(weight, nrows)
     residual = 0.0
@@ -660,23 +576,3 @@ def hahn_marginal(weight: DiscreteWeight, n: int, t: int) -> float:
     if not 0 <= t <= weight.size:
         raise ValueError("t outside support")
     return float((system.table[:n, t] ** 2).sum()) / n
-
-
-def krawtchouk_poly_contour(K: int, p: float, n: int, x: int,
-                            nodes: int = 4096) -> float:
-    """Validation path: the orthonormal polynomial p_n(x) via trapezoid
-    quadrature of its circular contour representation.  Degrees above 50 are
-    refused; this exists to cross-check the recurrence, not to be fast."""
-    if n > 50:
-        raise ValueError("contour validation is limited to degrees <= 50")
-    q = 1.0 - p
-    t = max(n, 1) / K
-    radius = min(math.sqrt(t / (1 - t)) if t < 1 else 1.0, 0.95 / max(p, q))
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    z = radius * np.exp(1j * theta)
-    vals = (1 + q * z) ** x * (1 - p * z) ** (K - x) / z**n
-    integral = vals.mean().real
-    # normalizing binomial runs over the degree n (transcriptions often carry
-    # an n/x mix-up here; n = 0 must give the constant polynomial 1)
-    log_binom = gammaln(K + 1) - gammaln(n + 1) - gammaln(K - n + 1)
-    return math.exp(-0.5 * log_binom - 0.5 * n * math.log(p * q)) * integral

@@ -65,15 +65,12 @@ def _kind(x: int, y: int, horizontal: bool, order: int) -> str:
 
 
 def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
-                 collect_stages: bool = False,
-                 scan_order: str = "rowmajor") -> Tiling | list[Tiling]:
+                 collect_stages: bool = False) -> Tiling | list[Tiling]:
     """Draw one exact sample via n shuffle stages.
 
     With ``collect_stages`` the full growth history [A_1, ..., A_n] is
     returned, which the tests use to assert that every intermediate stage is
-    itself a valid tiling.  ``scan_order`` controls the order in which empty
-    2x2 blocks are located; the block set is a deterministic function of the
-    slid configuration, so any order samples the same law.
+    itself a valid tiling.
     """
     n = measure.n
     q = measure.q
@@ -113,7 +110,7 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
         # filling: locate empty 2x2 blocks of A_m and fill independently.
         # The block set is determined by the configuration (greedy row-major
         # scan: the first uncovered square is always a block's lower-left
-        # corner); scan_order only permutes which block consumes which draw.
+        # corner); blocks consume draws in row-major order.
         covered: set[tuple[int, int]] = set()
         for (x, y), horiz in anchors.items():
             covered.add((x, y))
@@ -130,8 +127,6 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
             for sq in block:
                 empties_set.discard(sq)
             blocks.append((x, y))
-        if scan_order == "reversed":
-            blocks.reverse()
         for (x, y) in blocks:
             if rng.random() < q:
                 anchors[(x, y)] = False

@@ -174,12 +174,7 @@ def test_06_lpp_cdf_identity():
     worst = 0.0
     for q in (0.2, 0.5):
         W = sample_geometric(q, (R, 3, 3), rng)
-        G = np.zeros((R, 4, 4), dtype=np.int64)
-        for d in range(2, 7):
-            i = np.arange(max(1, d - 3), min(3, d - 1) + 1)
-            j = d - i
-            G[:, i, j] = np.maximum(G[:, i - 1, j], G[:, i, j - 1]) + W[:, i - 1, j - 1]
-        g = G[:, 3, 3]
+        g = lpp_value(W)[:, -1, -1]
         for t in range(13):
             ex = lpp_cdf_exact(3, 3, q, t)
             sd = math.sqrt(max(ex * (1 - ex), 1e-12) / R)

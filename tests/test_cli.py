@@ -154,6 +154,38 @@ def test_config_file_provides_defaults(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "50"
 
 
+def test_explicit_flags_override_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"seed": 5, "replicas": 3}))
+    out = tmp_path / "g.csv"
+    # flags equal to the built-in defaults still win over the config file
+    assert run(["growth-sim", "--M", "3", "--N", "3", "--q", "0.4", "--seed", "0",
+                "--replicas", "1", "--config", str(cfgfile), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    comment = json.loads(lines[0].removeprefix("# config: "))
+    assert (comment["seed"], comment["replicas"]) == (0, 1)
+    assert len(lines) == 3
+    # without the flags, the config file supplies them
+    assert run(["growth-sim", "--M", "3", "--N", "3", "--q", "0.4",
+                "--config", str(cfgfile), "--out", str(out)]) == 0
+    comment = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
+    assert (comment["seed"], comment["replicas"]) == (5, 3)
+    # --mode and --out come from the config file too
+    cfgfile.write_text(json.dumps({"mode": "exact", "M": 1, "N": 1, "z": 1, "w": 1}))
+    assert run(["dimer-z", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+    assert run(["dimer-z", "--config", str(cfgfile), "--mode", "float"]) == 0
+    val = capsys.readouterr().out.strip()
+    assert val != "3" and abs(float(val) - 3.0) < 1e-12
+    cfgfile.write_text(json.dumps({"a": 2, "b": 2, "c": 2, "m": 2,
+                                   "out": str(tmp_path / "law.csv")}))
+    assert run(["hexagon-law", "--config", str(cfgfile)]) == 0
+    assert (tmp_path / "law.csv").exists()
+    cfgfile.write_text(json.dumps({"mode": "rational", "M": 1, "N": 1, "z": 1, "w": 1}))
+    assert run(["dimer-z", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad-mode: ")
+
+
 def test_errors_are_machine_readable(capsys):
     assert run(["dimer-z", "--M", "1"]) == 2
     err = capsys.readouterr().err
@@ -161,17 +193,6 @@ def test_errors_are_machine_readable(capsys):
     assert run(["hexagon-count", "--a", "0", "--b", "1", "--c", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-
-
-def test_threads_do_not_change_output(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run(["growth-sim", "--M", "4", "--N", "4", "--q", "0.3", "--seed", "2",
-         "--replicas", "8", "--threads", "1", "--out", str(a)])
-    run(["growth-sim", "--M", "4", "--N", "4", "--q", "0.3", "--seed", "2",
-         "--replicas", "8", "--threads", "4", "--out", str(b)])
-    # comment lines differ in thread count; data rows must be identical
-    assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:]
 
 
 def test_dimer_z_exact_mode(capsys):

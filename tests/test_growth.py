@@ -57,6 +57,28 @@ def test_lpp_matches_bruteforce():
         assert lpp_value(W)[-1, -1] == lpp_bruteforce(W)
 
 
+def test_lpp_batched_equals_per_slice():
+    rng = np.random.default_rng(12)
+    for shape in [(6, 3, 3), (2, 3, 4, 5), (5, 1, 7), (4, 6, 1)]:
+        W = rng.integers(0, 9, size=shape)
+        G = lpp_value(W)
+        assert G.shape == shape and G.dtype == np.int64
+        flat = W.reshape(-1, *shape[-2:])
+        expected = np.stack([lpp_value(w) for w in flat]).reshape(shape)
+        assert (G == expected).all()
+
+
+def test_lpp_rejects_bad_input():
+    with pytest.raises(ValueError):
+        lpp_value(np.arange(4))
+    with pytest.raises(ValueError):
+        lpp_value(np.array(3))
+    W = np.ones((3, 2, 2), dtype=np.int64)
+    W[2, 1, 0] = -1
+    with pytest.raises(ValueError):
+        lpp_value(W)
+
+
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 50))
 @settings(max_examples=50, deadline=None)
 def test_lpp_monotone(M, N, seed):
@@ -97,12 +119,7 @@ def test_lpp_cdf_vs_monte_carlo():
     rng = np.random.default_rng(2)
     q, R = 0.3, 60000
     W = sample_geometric(q, (R, 3, 3), rng)
-    G = np.zeros((R, 4, 4), dtype=np.int64)
-    for d in range(2, 7):
-        i = np.arange(max(1, d - 3), min(3, d - 1) + 1)
-        j = d - i
-        G[:, i, j] = np.maximum(G[:, i - 1, j], G[:, i, j - 1]) + W[:, i - 1, j - 1]
-    g = G[:, 3, 3]
+    g = lpp_value(W)[:, -1, -1]
     for t in range(0, 13):
         ex = lpp_cdf_exact(3, 3, q, t)
         sd = math.sqrt(max(ex * (1 - ex), 1e-9) / R)

@@ -28,7 +28,31 @@ from tilings.hexagon import (
     sample_hexagon,
     walks_to_hole_columns,
 )
-from tilings.hexagon import hahn_normalization_exact, macmahon_closed_form
+
+
+def macmahon_closed_form(a: int, b: int, c: int) -> int:
+    """Oracle: MacMahon's count as a product over one index."""
+    out = Fraction(1)
+    for j in range(b):
+        out *= Fraction(
+            math.factorial(j) * math.factorial(a + c + j),
+            math.factorial(a + j) * math.factorial(c + j),
+        )
+    assert out.denominator == 1
+    return out.numerator
+
+
+def hahn_normalization_exact(N: int, m: int, alpha: int, beta: int) -> Fraction:
+    """Oracle: closed form for the Hahn normalization sum over ordered tuples."""
+    z = Fraction(math.factorial(m))
+    for j in range(m):
+        z *= Fraction(
+            math.factorial(j) * math.factorial(alpha + j) * math.factorial(beta + j)
+            * math.factorial(alpha + beta + j + N + 1) * math.factorial(alpha + beta + j),
+            math.factorial(alpha + beta + 2 * j) * math.factorial(alpha + beta + 2 * j + 1)
+            * math.factorial(N - j),
+        )
+    return z
 
 
 def test_macmahon_values():

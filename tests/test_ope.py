@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from tilings.ope import (
     ConstructionError,
@@ -21,7 +22,6 @@ from tilings.ope import (
     hahn_edge_hexagon,
     hahn_marginal,
     krawtchouk_density,
-    krawtchouk_poly_contour,
     krawtchouk_recurrence,
     max_particle_cdf,
     number_variance,
@@ -47,6 +47,69 @@ def kraw_mass_sorted(h, N, K, p):
     for hj in h:
         mass *= Fraction(math.comb(K, hj)) * p**hj * q ** (K - hj)
     return mass / Z
+
+
+def hahn_closed_form(N: int, alpha: float, beta: float, nmax: int):
+    """Oracle: standard three-term recurrence for the Hahn weight
+    (N + alpha - x)! (beta + x)! / (x! (N - x)!)."""
+    al, be = beta, alpha  # role swap relative to the binomial-product form
+
+    def A(n):
+        return (n + al + be + 1) * (n + al + 1) * (N - n) / (
+            (2 * n + al + be + 1) * (2 * n + al + be + 2)
+        )
+
+    def C(n):
+        return n * (n + al + be + N + 1) * (n + be) / (
+            (2 * n + al + be) * (2 * n + al + be + 1)
+        )
+
+    a = np.array([math.sqrt(A(n - 1) * C(n)) for n in range(1, nmax)])
+    b = np.array([A(n) + C(n) for n in range(nmax)])
+    return a, b
+
+
+def hahn_variant_form(N: int, alpha: float, beta: float, nmax: int):
+    """A sometimes-quoted variant of the Hahn recurrence coefficients.
+
+    Its a-coefficients carry a spurious repeated factor under the square
+    root (the large-N limit is right, the finite-N values are not); the
+    tests check that it disagrees with the weight-derived coefficients."""
+    n = np.arange(1, nmax, dtype=float)
+    pref = n * (n + alpha) * (n + alpha + beta + N + 1) / (
+        (2 * n + alpha + beta) * (2 * n + alpha + beta + 1)
+    )
+    inside = ((N - n + 1) * (2 * n + alpha + beta + 1) * (beta + n) * (alpha + beta + n)) / (
+        (alpha + n) * (n + N + alpha + beta + 1) * n * (2 * n + alpha + beta + 1)
+    )
+    a = pref * np.sqrt(inside)
+    m = np.arange(nmax, dtype=float)
+    b = (m + alpha + beta + 1) * (m + beta + 1) * (N - m) / (
+        N * (2 * m + alpha + beta + 1) * (2 * m + alpha + beta + 2)
+    ) + m * (m + alpha) * (m + alpha + beta + N + 1) / (
+        N * (2 * m + alpha + beta) * (2 * m + alpha + beta + 1)
+    )
+    return a, b * N
+
+
+def krawtchouk_poly_contour(K: int, p: float, n: int, x: int,
+                            nodes: int = 4096) -> float:
+    """Oracle: the orthonormal polynomial p_n(x) via trapezoid quadrature of
+    its circular contour representation.  Degrees above 50 are refused; this
+    exists to cross-check the recurrence, not to be fast."""
+    if n > 50:
+        raise ValueError("contour validation is limited to degrees <= 50")
+    q = 1.0 - p
+    t = max(n, 1) / K
+    radius = min(math.sqrt(t / (1 - t)) if t < 1 else 1.0, 0.95 / max(p, q))
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    z = radius * np.exp(1j * theta)
+    vals = (1 + q * z) ** x * (1 - p * z) ** (K - x) / z**n
+    integral = vals.mean().real
+    # normalizing binomial runs over the degree n (transcriptions often carry
+    # an n/x mix-up here; n = 0 must give the constant polynomial 1)
+    log_binom = gammaln(K + 1) - gammaln(n + 1) - gammaln(K - n + 1)
+    return math.exp(-0.5 * log_binom - 0.5 * n * math.log(p * q)) * integral
 
 
 def test_exact_mass_normalizes():
@@ -83,30 +146,36 @@ def test_krawtchouk_lanczos_matches_closed_form():
 
 
 def test_hahn_recurrence_matches_gram_schmidt():
-    # the closed form used at build time must agree with the direct
-    # Gram-Schmidt/Stieltjes construction on the weight
-    from tilings.ope import _hahn_closed_form
-
+    # the closed form must agree with the direct Gram-Schmidt/Stieltjes
+    # construction on the weight
     w = DiscreteWeight.hahn(8, 1, 1)
     aL, bL = recurrence_from_weight(w, 8)
-    aC, bC = _hahn_closed_form(8, 1, 1, 8)
+    aC, bC = hahn_closed_form(8, 1, 1, 8)
     assert np.abs(aL - aC).max() < 1e-10
     assert np.abs(bL - bC).max() < 1e-10
 
 
-def test_hahn_variant_form_is_rejected():
-    from tilings.ope import _hahn_variant_form
+def test_hahn_build_coefficients_match_closed_form():
+    # the built system carries the Lanczos coefficients; they stay within
+    # 1e-10 of the closed form on the spectral scale N
+    for (N, alpha, beta, n) in [(8, 1, 1, 8), (24, 3, 5, 12), (120, 4, 2, 60)]:
+        s = build_orthonormal(DiscreteWeight.hahn(N, alpha, beta), n)
+        aC, bC = hahn_closed_form(N, alpha, beta, s.num_degrees)
+        assert np.abs(s.a - aC).max() <= 1e-10 * N
+        assert np.abs(s.b - bC).max() <= 1e-10 * N
 
+
+def test_hahn_variant_form_is_rejected():
     w = DiscreteWeight.hahn(24, 3, 5)
     aL, _ = recurrence_from_weight(w, 12)
-    aP, _ = _hahn_variant_form(24, 3, 5, 12)
+    aP, _ = hahn_variant_form(24, 3, 5, 12)
     # the variant square root carries a spurious factor at finite N ...
     assert np.abs(aP - aL).max() > 1e-3
     # ... but the scaled coefficients share the large-N limit
     N = 4000
     t = 0.35
     alpha0 = 0.7
-    aP2, _ = _hahn_variant_form(N, alpha0 * N, alpha0 * N, int(t * N))
+    aP2, _ = hahn_variant_form(N, alpha0 * N, alpha0 * N, int(t * N))
     target = math.sqrt(t * (1 - t) * (t + 2 * alpha0) * (t + 2 * alpha0 + 1)) / (
         4 * (t + alpha0)
     )
@@ -117,8 +186,10 @@ def test_orthonormality_small_and_large():
     for (K, p, N) in [(40, 0.37, 13), (2000, 0.5, 1000)]:
         s = build_orthonormal(DiscreteWeight.krawtchouk(K, p), N)
         assert s.orthonormality_residual < 1e-10
-    s = build_orthonormal(DiscreteWeight.hahn(120, 4, 2), 60)
-    assert s.orthonormality_residual < 1e-10
+    # alpha = beta = 0 is the middle hexagon column of an a = b hexagon
+    for (N, alpha, beta, n) in [(120, 4, 2, 60), (60, 0, 0, 30)]:
+        s = build_orthonormal(DiscreteWeight.hahn(N, alpha, beta), n)
+        assert s.orthonormality_residual < 1e-10
 
 
 def test_full_rank_kernel_is_identity():

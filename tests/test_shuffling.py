@@ -92,21 +92,6 @@ def test_sampler_matches_enumeration(n, w):
     assert chi2_pvalue(observed, expected, R) > 1e-3
 
 
-def test_scan_order_invariance():
-    # the block set is configuration-determined, so the fill order only
-    # permutes which rng draw lands on which block; both orders are uniform
-    exact = {t.key(): Fraction(1, 8) for t, _ in enumerate_tilings(2)}
-    for order in ("rowmajor", "reversed"):
-        rng = np.random.default_rng(7)
-        m = AztecMeasure.from_q(2, 0.5)
-        R = 24000
-        observed = {}
-        for _ in range(R):
-            key = sample_aztec(m, rng, scan_order=order).key()
-            observed[key] = observed.get(key, 0) + 1
-        assert chi2_pvalue(observed, {k: float(v) for k, v in exact.items()}, R) > 1e-3
-
-
 def test_intermediate_stages_are_valid_tilings():
     rng = np.random.default_rng(5)
     stages = sample_aztec(AztecMeasure.from_q(10, 0.3), rng, collect_stages=True)
