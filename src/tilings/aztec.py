@@ -16,6 +16,12 @@ Squares are addressed by their lower-left corner.  The checkerboard colouring
 is fixed so that the leftmost square of each row in the top half is white,
 which works out to: square (x, y) is white iff x + y + n is even.
 
+:meth:`Tiling.validate` returns the tiling's square grid, which the readers
+(zig-zag configurations, heights, polar regions) work on with array
+operations: grid[y + n + 1, x + n + 1] is the index in ``dominoes`` of the
+domino covering square (x, y) of the (2n+2)^2 box, or -1 outside A_n.  The
+grid is built once per tiling and cached.
+
 Coordinate systems for the path families:
 
 * CS-I has origin (n+1, 1/2) and basis e = (-1,-1), f = (-1,1).
@@ -29,8 +35,10 @@ stays in exact integer arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 __all__ = [
     "GeometryError",
@@ -65,12 +73,24 @@ class TilingError(ValueError):
 
 
 def square_in_diamond(x: int, y: int, n: int) -> bool:
-    """True iff the unit square with lower-left corner (x, y) lies in A_n."""
-    return max(abs(x), abs(x + 1)) + max(abs(y), abs(y + 1)) <= n + 1
+    """True iff the unit square with lower-left corner (x, y) lies in A_n
+    (elementwise on arrays)."""
+    return abs(2 * x + 1) + abs(2 * y + 1) <= 2 * n
 
 
 def square_is_white(x: int, y: int, n: int) -> bool:
     return (x + y + n) % 2 == 0
+
+
+_KINDS = "NSWE"
+
+
+def _kind(x, y, horizontal, n):
+    """Compass kind of a domino in A_n as an index into _KINDS (elementwise
+    on arrays).  A horizontal domino is N iff its left square is white; a
+    vertical domino is W iff its upper square is white."""
+    odd = (x + y + n) % 2
+    return horizontal * odd + (1 - horizontal) * (3 - odd)
 
 
 def diamond_squares(n: int) -> Iterator[tuple[int, int]]:
@@ -96,54 +116,58 @@ class Domino:
 
 
 def classify_domino(d: Domino, n: int) -> str:
-    """Compass kind of a domino placed in A_n.
-
-    A horizontal domino is north-going (N) iff its leftmost square is white;
-    a vertical domino is west-going (W) iff its upper square is white.
-    """
+    """Compass kind N, S, W or E of a domino placed in A_n (see _kind)."""
     for (sx, sy) in d.squares():
         if not square_in_diamond(sx, sy, n):
             raise GeometryError(f"domino {d} does not fit inside A_{n}")
-    if d.horizontal:
-        return "N" if square_is_white(d.x, d.y, n) else "S"
-    return "W" if square_is_white(d.x, d.y + 1, n) else "E"
+    return _KINDS[_kind(d.x, d.y, d.horizontal, n)]
+
+
+def _anchors(dominoes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anchor x, anchor y and horizontal (0/1) of each domino, as arrays."""
+    a = np.array([(d.x, d.y, d.horizontal) for d in dominoes], dtype=np.int64).reshape(-1, 3)
+    return a[:, 0], a[:, 1], a[:, 2]
 
 
 @dataclass(frozen=True)
 class Tiling:
     order: int
     dominoes: tuple[Domino, ...]
+    _grid: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dominoes", tuple(sorted(self.dominoes)))
 
-    def validate(self) -> None:
-        n = self.order
-        seen: set[tuple[int, int]] = set()
-        for d in self.dominoes:
-            for sq in d.squares():
-                if not square_in_diamond(sq[0], sq[1], n):
-                    raise TilingError(f"square {sq} of {d} outside A_{n}")
-                if sq in seen:
-                    raise TilingError(f"square {sq} covered twice")
-                seen.add(sq)
-        if len(seen) != 2 * n * (n + 1):
-            raise TilingError(
-                f"covered {len(seen)} squares, A_{n} has {2 * n * (n + 1)}"
-            )
+    def validate(self) -> np.ndarray:
+        """Check that the dominoes tile A_n exactly and return the square
+        grid (see the module docstring).  Read-only and cached."""
+        if self._grid is not None:
+            return self._grid
+        n, size = self.order, 2 * self.order + 2
+        x, y, h = _anchors(self.dominoes)
+        sx, sy = np.concatenate([x, x + h]), np.concatenate([y, y + 1 - h])
+        outside = ~square_in_diamond(sx, sy, n)
+        if outside.any():
+            i = np.argmax(outside)
+            raise TilingError(f"square {(int(sx[i]), int(sy[i]))} outside A_{n}")
+        flat = (sy + n + 1) * size + sx + n + 1
+        twice = np.bincount(flat) > 1
+        if twice.any():
+            j, i = divmod(int(np.argmax(twice)), size)
+            raise TilingError(f"square {(i - n - 1, j - n - 1)} covered twice")
+        if flat.size != 2 * n * (n + 1):
+            raise TilingError(f"covered {flat.size} squares, A_{n} has {2 * n * (n + 1)}")
+        grid = np.full((size, size), -1)
+        grid.flat[flat] = np.tile(np.arange(len(self.dominoes)), 2)
+        grid.flags.writeable = False
+        object.__setattr__(self, "_grid", grid)
+        return grid
 
     def vertical_count(self) -> int:
         return sum(1 for d in self.dominoes if not d.horizontal)
 
     def kinds(self) -> dict[Domino, str]:
         return {d: classify_domino(d, self.order) for d in self.dominoes}
-
-    def square_map(self) -> dict[tuple[int, int], Domino]:
-        m: dict[tuple[int, int], Domino] = {}
-        for d in self.dominoes:
-            for sq in d.squares():
-                m[sq] = d
-        return m
 
     def key(self) -> tuple:
         """Hashable canonical form, for frequency counting."""
@@ -351,24 +375,15 @@ def zigzag_config(t: Tiling, r: int) -> tuple[ParticleConfig, ParticleConfig]:
     n = t.order
     if not 1 <= r <= n:
         raise GeometryError(f"level r={r} out of range 1..{n}")
-    sq_map = t.square_map()
-    particles, holes = [], []
-    for k in range(n + 1):
-        sq = (k - r, n - r - k)  # lower-left corner of the k-th white square
-        d = sq_map[sq]
-        kind = classify_domino(d, n)
-        if kind in ("S", "W"):
-            particles.append(n - k)
-        else:
-            holes.append(n - k)
-    particles.reverse()
-    holes.reverse()
+    k = np.arange(n + 1)  # the k-th white square has lower-left corner (k-r, n-r-k)
+    cells = t.validate()[2 * n + 1 - r - k, k - r + n + 1]
+    x, y, h = _anchors(t.dominoes[i] for i in cells)
+    particle = np.isin(_kind(x, y, h, n), (_KINDS.index("S"), _KINDS.index("W")))
+    particles = tuple((n - k)[particle][::-1].tolist())
+    holes = tuple((n - k)[~particle][::-1].tolist())
     if len(particles) != r:
         raise TilingError(f"expected {r} particles, found {len(particles)}")
-    return (
-        ParticleConfig(window=n, positions=tuple(particles)),
-        ParticleConfig(window=n, positions=tuple(holes)),
-    )
+    return ParticleConfig(n, particles), ParticleConfig(n, holes)
 
 
 def zigzag_from_paths(t: Tiling, r: int) -> tuple[ParticleConfig, ParticleConfig]:
@@ -398,19 +413,30 @@ def zigzag_from_paths(t: Tiling, r: int) -> tuple[ParticleConfig, ParticleConfig
 
 @dataclass(frozen=True)
 class HeightField:
+    """Heights on the vertex box x, y in -n-1..n+1: heights[y + n + 1, x + n + 1]
+    is the height at vertex (x, y), masked unless (x, y) is a corner of a
+    square of A_n."""
+
     order: int
-    values: dict[tuple[int, int], int]
+    heights: np.ma.MaskedArray
 
     def at(self, x: int, y: int) -> int:
-        return self.values[(x, y)]
+        n = self.order
+        if abs(x) + abs(y) > n + 1 or np.ma.is_masked(h := self.heights[y + n + 1, x + n + 1]):
+            raise GeometryError(f"({x}, {y}) is not a vertex of A_{n}")
+        return int(h)
 
     def zigzag_corner(self, r: int, k: int) -> int:
         """Height at Q_k^r = (-r+k, n+1-k-r)."""
-        return self.values[(-r + k, self.order + 1 - k - r)]
+        return self.at(-r + k, self.order + 1 - k - r)
 
 
-def _vertex_in_diamond(x: int, y: int, n: int) -> bool:
-    return abs(x) + abs(y) <= n + 1
+def _height_steps(left, right, left_white):
+    """Height changes along edges whose left and right squares hold the
+    given domino indices (-1 outside A_n), and which edges touch A_n."""
+    s = np.where(left_white, -1, 1)
+    covered = (left == right) & (left >= 0)
+    return np.where(covered, -3 * s, s), (left >= 0) | (right >= 0)
 
 
 def height_function(t: Tiling) -> HeightField:
@@ -419,61 +445,31 @@ def height_function(t: Tiling) -> HeightField:
     Along an edge u -> v not covered by a domino the height changes by +1 if
     the square to the left of the edge is black, else -1; across a covered
     edge the change is -3 and +3 respectively.  Normalized by h(n, 0) = 0.
-    A cycle-consistency sweep guards against broken tilings.
+    The steps are summed up the column x = 0 and then along every row; a
+    consistency check over all edges guards against broken tilings.
     """
-    t.validate()
     n = t.order
-    sq_map = t.square_map()
-
-    def left_square(x, y, dx, dy):
-        if (dx, dy) == (1, 0):
-            return (x, y)
-        if (dx, dy) == (0, 1):
-            return (x - 1, y)
-        if (dx, dy) == (-1, 0):
-            return (x - 1, y - 1)
-        return (x, y - 1)
-
-    def right_square(x, y, dx, dy):
-        return left_square(x + dx, y + dy, -dx, -dy)
-
-    def delta(x, y, dx, dy):
-        ls = left_square(x, y, dx, dy)
-        rs = right_square(x, y, dx, dy)
-        l_in = square_in_diamond(*ls, n)
-        r_in = square_in_diamond(*rs, n)
-        if not l_in and not r_in:
-            return None
-        if l_in:
-            s = 1 if not square_is_white(*ls, n) else -1
-        else:
-            # boundary edge: infer colour from the inside square
-            s = -1 if not square_is_white(*rs, n) else 1
-        covered = l_in and r_in and sq_map[ls] is sq_map[rs]
-        return -3 * s if covered else s
-
-    values: dict[tuple[int, int], int] = {(n, 0): 0}
-    stack = [(n, 0)]
-    while stack:
-        (x, y) = stack.pop()
-        h = values[(x, y)]
-        for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
-            nx, ny = x + dx, y + dy
-            if not _vertex_in_diamond(nx, ny, n):
-                continue
-            d = delta(x, y, dx, dy)
-            if d is None:
-                continue
-            if (nx, ny) in values:
-                if values[(nx, ny)] != h + d:
-                    raise TilingError(
-                        f"inconsistent height at ({nx},{ny}): "
-                        f"{values[(nx, ny)]} vs {h + d}"
-                    )
-            else:
-                values[(nx, ny)] = h + d
-                stack.append((nx, ny))
-    return HeightField(order=n, values=values)
+    G = np.pad(t.validate(), 1, constant_values=-1)  # squares -n-2..n+1
+    # edge (x, y) -> (x+1, y) has square (x, y) on its left, (x, y-1) on its
+    # right; edge (x, y) -> (x, y+1) has (x-1, y) on its left, (x, y) on its right
+    y, x = np.ogrid[-n - 1:n + 2, -n - 1:n + 1]
+    step_x, edge_x = _height_steps(G[1:, 1:-1], G[:-1, 1:-1], square_is_white(x, y, n))
+    y, x = np.ogrid[-n - 1:n + 1, -n - 1:n + 2]
+    step_y, edge_y = _height_steps(G[1:-1, :-1], G[1:-1, 1:], square_is_white(x - 1, y, n))
+    c = n + 1  # index of x = 0 (columns) and of y = 0 (rows)
+    up = np.concatenate([[0], np.cumsum(step_y[:, c])])
+    along = np.pad(np.cumsum(step_x, axis=1), ((0, 0), (1, 0)))
+    H = up[:, None] + along - along[:, c:c + 1]
+    H -= H[c, 2 * n + 1]
+    for step, edge, axis in ((step_x, edge_x, 1), (step_y, edge_y, 0)):
+        bad = np.argwhere(edge & (np.diff(H, axis=axis) != step))
+        if bad.size:
+            j, i = bad[0]
+            raise TilingError(f"inconsistent height at the edge from vertex "
+                              f"({i - n - 1}, {j - n - 1})")
+    inside = G >= 0
+    vertex = inside[:-1, :-1] | inside[1:, :-1] | inside[:-1, 1:] | inside[1:, 1:]
+    return HeightField(order=n, heights=np.ma.masked_array(H, mask=~vertex))
 
 
 def height_from_particles(n: int, r: int, k: int, particles: ParticleConfig) -> int:
@@ -492,45 +488,29 @@ def height_from_particles(n: int, r: int, k: int, particles: ParticleConfig) -> 
 # ---------------------------------------------------------------------------
 
 
+_REGIONS = ("north", "south", "west", "east", "temperate")
+
+
 def polar_regions(t: Tiling) -> dict[Domino, str]:
     """Label every domino north/south/west/east/temperate.
 
     The north region is the set of N-dominoes connected to the boundary
-    through chains of edge-adjacent N-dominoes; similarly for S/W/E.
+    through chains of edge-adjacent N-dominoes; similarly for S/W/E.  Each
+    kind's squares are split into 4-connected components, and the components
+    with a square next to the outside of A_n make up the region.
     """
-    t.validate()
+    from scipy import ndimage  # here, not at the top: its import takes ~70 ms
     n = t.order
-    kinds = t.kinds()
-    sq_map = t.square_map()
-
-    def neighbours(d: Domino) -> Iterable[Domino]:
-        for (sx, sy) in d.squares():
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                other = sq_map.get((sx + dx, sy + dy))
-                if other is not None and other is not d:
-                    yield other
-
-    def touches_boundary(d: Domino) -> bool:
-        for (sx, sy) in d.squares():
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                if ((sx + dx, sy + dy)) not in sq_map and not square_in_diamond(
-                    sx + dx, sy + dy, n
-                ):
-                    return True
-        return False
-
-    labels = {d: "temperate" for d in t.dominoes}
-    for kind, label in (("N", "north"), ("S", "south"), ("W", "west"), ("E", "east")):
-        frontier = [d for d in t.dominoes if kinds[d] == kind and touches_boundary(d)]
-        seen = set(frontier)
-        while frontier:
-            d = frontier.pop()
-            labels[d] = label
-            for other in neighbours(d):
-                if other not in seen and kinds[other] == kind:
-                    seen.add(other)
-                    frontier.append(other)
-    return labels
+    grid = t.validate()
+    x, y, h = _anchors(t.dominoes)
+    kind = np.append(_kind(x, y, h, n), -1)[grid]  # -1 outside A_n
+    rim = ~ndimage.binary_erosion(grid >= 0)  # squares next to the outside
+    region = np.full(len(t.dominoes), _REGIONS.index("temperate"))
+    for code in range(len(_KINDS)):
+        comp, _ = ndimage.label(kind == code)
+        polar = np.isin(comp, comp[(kind == code) & rim])
+        region[grid[polar]] = code
+    return {d: _REGIONS[c] for d, c in zip(t.dominoes, region.tolist())}
 
 
 # ---------------------------------------------------------------------------

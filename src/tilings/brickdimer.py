@@ -39,8 +39,6 @@ __all__ = [
     "BrickLatticeSpec",
     "DimerCover",
     "CylindricPathFamily",
-    "phi",
-    "mode_weights",
     "kernel",
     "correlations",
     "partition_function",
@@ -92,22 +90,10 @@ class BrickLatticeSpec:
         return out
 
 
-def phi(spec: BrickLatticeSpec, s: int, t: int) -> float:
-    """Orthonormal mode basis phi(s, t); s is a height index and t a mode
-    index, both in 0..N (mode t corresponds to frequency j = t + 1; the top
-    mode carries an extra 1/sqrt(2), like the boundary weights of the
-    analogous cosine transform)."""
-    N = spec.N
-    if not (0 <= s <= N and 0 <= t <= N):
-        raise ValueError("indices must lie in 0..N")
-    j = t + 1
-    c = 0.5 if j == N + 1 else 1.0
-    return math.sqrt(2.0 * c / (N + 1)) * math.sin(
-        math.pi * j * (2 * s + 1) / (2 * N + 2)
-    )
-
-
 def _phi_matrix(spec: BrickLatticeSpec) -> np.ndarray:
+    """Orthonormal mode basis P[s, t]; s is a height index and t a mode
+    index, both in 0..N (mode t has frequency j = t + 1; the top mode
+    carries an extra 1/sqrt(2))."""
     N = spec.N
     x = np.arange(N + 1)
     j = np.arange(1, N + 2)
@@ -115,13 +101,6 @@ def _phi_matrix(spec: BrickLatticeSpec) -> np.ndarray:
     return np.sqrt(2.0 * c / (N + 1)) * np.sin(
         np.pi * np.outer(2 * x + 1, j) / (2 * N + 2)
     )
-
-
-def mode_weights(spec: BrickLatticeSpec) -> np.ndarray:
-    """Eigenvalues lambda_j = cos(pi j/(2N+2))^(2M) of the 2M-step
-    even-height walk, modes j = 1..N+1 (the last one vanishes)."""
-    j = np.arange(1, spec.N + 2)
-    return np.cos(np.pi * j / (2 * spec.N + 2)) ** (2 * spec.M)
 
 
 def kernel(spec: BrickLatticeSpec) -> np.ndarray:

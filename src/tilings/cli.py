@@ -12,7 +12,7 @@ identical across reruns.  CSV files carry one comment line recording the
 resolved configuration and then a header row; JSON is used for structured
 objects, with exact integers (tiling counts) rendered as decimal strings.
 A JSON file passed via --config supplies defaults that explicit flags
-override.
+override; its parameter values are read as text, exactly like flags.
 """
 
 from __future__ import annotations
@@ -263,19 +263,9 @@ def _cmd_hexagon_sample(cfg: ExperimentConfig) -> int:
     spec = _hex_spec(cfg)
     method = cfg.params.get("method", "enumerate")
     sweeps = int(cfg.params.get("sweeps", 0)) or None
-    fams = []
-    if method == "mcmc":
-        rng = replica_rng(cfg.seed, 0)
-        chain = hexagon.LozengeChain(spec, rng)
-        burn = sweeps or 10 * (spec.a + spec.b)
-        chain.sweep(burn)
-        for _ in range(cfg.replicas):
-            chain.sweep(max((sweeps or 10) // 10, 1))
-            fams.append(chain.family())
-    else:
-        fams = _map_replicas(
-            cfg, lambda r, rng: hexagon.sample_hexagon(spec, rng, method="enumerate")
-        )
+    fams = _map_replicas(
+        cfg, lambda r, rng: hexagon.sample_hexagon(spec, rng, method, sweeps)
+    )
     payload = [hexagon.walks_to_hole_columns(f) for f in fams]
     text = json.dumps({"hole_columns": payload}, sort_keys=True)
     if cfg.out:
@@ -383,7 +373,8 @@ def _config_from_args(args: argparse.Namespace, params: list[str]) -> Experiment
         v = getattr(args, flag)
         return overrides.get(flag, default) if v is None else v
 
-    merged = {flag: v for flag in params if (v := pick(flag)) is not None}
+    # flags arrive as text, so config values are read as text too
+    merged = {flag: str(v) for flag in params if (v := pick(flag)) is not None}
     mode = pick("mode", "float")
     if mode not in _MODES:
         raise CliError("bad-mode", f"mode must be one of {_MODES}, got {mode!r}")

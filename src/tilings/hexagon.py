@@ -16,6 +16,7 @@ towards the uniform measure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -253,18 +254,15 @@ def _column_states(spec: HexagonSpec, m: int) -> list[tuple[int, ...]]:
 
 
 def _transitions(spec: HexagonSpec, m: int, state: tuple[int, ...]):
-    """All non-intersecting one-step moves from column m to m+1."""
+    """All non-intersecting one-step moves from column m to m+1, built walk
+    by walk so that only non-intersecting prefixes are extended.  Walk 0
+    varies slowest and -1 comes before +1."""
     alpha1, beta1, _, _, _ = column_bounds(spec, m + 1)
-    c = spec.c
-    out = []
-    for signs in itertools.product((-1, 1), repeat=c):
-        nxt = tuple(s + d for s, d in zip(state, signs))
-        if any(u >= v for u, v in zip(nxt, nxt[1:])):
-            continue
-        if nxt[0] < alpha1 or nxt[-1] > beta1:
-            continue
-        out.append(nxt)
-    return out
+    moves = [()]
+    for k, s in enumerate(state):
+        moves = [mv + (v,) for mv in moves for v in (s - 1, s + 1)
+                 if v > (mv[-1] if k else alpha1 - 1)]
+    return [mv for mv in moves if mv[-1] <= beta1]
 
 
 def _completion_counts(spec: HexagonSpec) -> list[dict[tuple[int, ...], int]]:
@@ -290,7 +288,7 @@ def count_tilings_dp(spec: HexagonSpec) -> int:
 
 class _DPSampler:
     """Exact uniform sampling by forward simulation against completion
-    counts."""
+    counts.  Built once per spec, see _dp_sampler."""
 
     def __init__(self, spec: HexagonSpec):
         self.spec = spec
@@ -320,6 +318,11 @@ class _DPSampler:
         fam = WalkFamily(spec=spec, S=tuple(tuple(r) for r in rows))
         fam.validate()
         return fam
+
+
+@functools.lru_cache(maxsize=32)
+def _dp_sampler(spec: HexagonSpec) -> _DPSampler:
+    return _DPSampler(spec)
 
 
 def enumerate_walks(spec: HexagonSpec) -> list[WalkFamily]:
@@ -397,18 +400,19 @@ class LozengeChain:
 
 
 def sample_hexagon(spec: HexagonSpec, rng: np.random.Generator,
-                   method: str = "enumerate", sweeps: int | None = None,
-                   chain: "LozengeChain | None" = None) -> WalkFamily:
-    """One uniform (exact or MCMC) random tiling as a walk family."""
+                   method: str = "enumerate", sweeps: int | None = None) -> WalkFamily:
+    """One uniform (exact or MCMC) random tiling as a walk family.
+
+    "mcmc" starts a fresh chain, burns it in for max(10 abc / ((a+b-1) c), 10)
+    sweeps and then runs ``sweeps`` more (10 by default)."""
     if method == "enumerate":
-        return _DPSampler(spec).sample(rng)
+        return _dp_sampler(spec).sample(rng)
     if method == "mcmc":
-        if chain is None:
-            chain = LozengeChain(spec, rng)
-            default_burn = 10 * spec.a * spec.b * spec.c // max(
-                (spec.a + spec.b - 1) * spec.c, 1
-            )
-            chain.sweep(max(default_burn, 10))
+        chain = LozengeChain(spec, rng)
+        default_burn = 10 * spec.a * spec.b * spec.c // max(
+            (spec.a + spec.b - 1) * spec.c, 1
+        )
+        chain.sweep(max(default_burn, 10))
         chain.sweep(sweeps if sweeps is not None else 10)
         return chain.family()
     raise ValueError(f"unknown method {method!r}")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aztec import Domino, Tiling, diamond_squares, square_in_diamond, square_is_white
+from .aztec import Domino, Tiling, _kind, diamond_squares
 
 __all__ = [
     "AztecMeasure",
@@ -53,29 +53,17 @@ class AztecMeasure:
         return cls(n=n, w=math.sqrt(q / (1.0 - q)))
 
 
-# Internal grid representation: anchors[x + off][y + off] holds 0 for no
-# anchor, 1 for a horizontal domino, 2 for a vertical one.  Kinds are always
-# recomputed from the colouring of the current order.
+_N, _S, _W, _E = range(4)  # kind codes of aztec._kind
+_SLIDE = ((0, 1), (0, -1), (-1, 0), (1, 0))  # by kind code
 
 
-def _kind(x: int, y: int, horizontal: bool, order: int) -> str:
-    if horizontal:
-        return "N" if (x + y + order) % 2 == 0 else "S"
-    return "W" if (x + y + 1 + order) % 2 == 0 else "E"
-
-
-def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
-                 collect_stages: bool = False) -> Tiling | list[Tiling]:
-    """Draw one exact sample via n shuffle stages.
-
-    With ``collect_stages`` the full growth history [A_1, ..., A_n] is
-    returned, which the tests use to assert that every intermediate stage is
-    itself a valid tiling.
-    """
+def sample_aztec(measure: AztecMeasure, rng: np.random.Generator) -> Tiling:
+    """Draw one exact sample via n shuffle stages.  Kinds are recomputed
+    from the colouring of the current order at every stage, so stage k of
+    the shuffle is the order-k sample drawn from the same stream."""
     n = measure.n
     q = measure.q
     anchors: dict[tuple[int, int], bool] = {}  # anchor -> horizontal?
-    stages: list[Tiling] = []
 
     for m in range(1, n + 1):
         # destruction: drop bad pairs (facing dominoes that would collide)
@@ -83,14 +71,14 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
         for (x, y), horiz in anchors.items():
             if horiz:
                 up = anchors.get((x, y + 1))
-                if up is True and _kind(x, y, True, m - 1) == "N" \
-                        and _kind(x, y + 1, True, m - 1) == "S":
+                if up is True and _kind(x, y, True, m - 1) == _N \
+                        and _kind(x, y + 1, True, m - 1) == _S:
                     bad.add((x, y))
                     bad.add((x, y + 1))
             else:
                 right = anchors.get((x + 1, y))
-                if right is False and _kind(x, y, False, m - 1) == "E" \
-                        and _kind(x + 1, y, False, m - 1) == "W":
+                if right is False and _kind(x, y, False, m - 1) == _E \
+                        and _kind(x + 1, y, False, m - 1) == _W:
                     bad.add((x, y))
                     bad.add((x + 1, y))
         for key in bad:
@@ -99,8 +87,7 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
         # sliding: one unit in the compass direction of the kind
         moved: dict[tuple[int, int], bool] = {}
         for (x, y), horiz in anchors.items():
-            k = _kind(x, y, horiz, m - 1)
-            dx, dy = {"N": (0, 1), "S": (0, -1), "W": (-1, 0), "E": (1, 0)}[k]
+            dx, dy = _SLIDE[_kind(x, y, horiz, m - 1)]
             target = (x + dx, y + dy)
             if target in moved:
                 raise AssertionError("slide collision: bad-pair removal failed")
@@ -135,17 +122,8 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
                 anchors[(x, y)] = True
                 anchors[(x, y + 1)] = True
 
-        if collect_stages:
-            stages.append(_to_tiling(anchors, m))
-
-    if collect_stages:
-        return stages
-    return _to_tiling(anchors, n)
-
-
-def _to_tiling(anchors: dict[tuple[int, int], bool], order: int) -> Tiling:
     dominoes = tuple(Domino(x, y, horiz) for (x, y), horiz in anchors.items())
-    return Tiling(order=order, dominoes=dominoes)
+    return Tiling(order=n, dominoes=dominoes)
 
 
 def enumerate_tilings(n: int, w: Fraction | int = 1) -> list[tuple[Tiling, Fraction]]:

@@ -9,6 +9,7 @@ from tilings.aztec import (
     Domino,
     GeometryError,
     Tiling,
+    TilingError,
     classify_domino,
     diamond_squares,
     dr_paths_to_tiling,
@@ -28,6 +29,17 @@ from tilings.shuffling import AztecMeasure, enumerate_tilings, sample_aztec
 
 def all_tilings(n):
     return [t for t, _ in enumerate_tilings(n)]
+
+
+def sampled_16():
+    """One sampled tiling of A_16 (fixed seed), past the exhaustive sizes,
+    so that the readers meet a long diamond boundary."""
+    return sample_aztec(AztecMeasure.from_q(16, 0.5), np.random.default_rng(16))
+
+
+def exhaustive_and_sampled():
+    """Every tiling of A_1..A_4, then the sampled tiling of A_16."""
+    return [t for n in range(1, 5) for t in all_tilings(n)] + [sampled_16()]
 
 
 def test_diamond_square_count():
@@ -97,17 +109,17 @@ def test_n1_vertical_tiling_paths():
 
 
 def test_zigzag_complementarity_and_path_equivalence():
-    for n in range(1, 5):
-        for t in all_tilings(n):
-            for r in range(1, n + 1):
-                particles, holes = zigzag_config(t, r)
-                assert len(particles) == r and len(holes) == n + 1 - r
-                assert sorted(particles.positions + holes.positions) == list(
-                    range(n + 1)
-                )
-                p2, h2 = zigzag_from_paths(t, r)
-                assert particles.positions == p2.positions
-                assert holes.positions == h2.positions
+    for t in exhaustive_and_sampled():
+        n = t.order
+        for r in range(1, n + 1):
+            particles, holes = zigzag_config(t, r)
+            assert len(particles) == r and len(holes) == n + 1 - r
+            assert sorted(particles.positions + holes.positions) == list(
+                range(n + 1)
+            )
+            p2, h2 = zigzag_from_paths(t, r)
+            assert particles.positions == p2.positions
+            assert holes.positions == h2.positions
 
 
 def test_zigzag_n1_law_is_binomial_half():
@@ -136,15 +148,84 @@ def test_height_boundary_values_and_local_rule():
 
 
 def test_height_from_particles_matches_direct():
-    for n in range(1, 5):
-        for t in all_tilings(n):
-            hf = height_function(t)
-            for r in range(1, n + 1):
-                particles, _ = zigzag_config(t, r)
-                for k in range(n + 2):
-                    assert hf.zigzag_corner(r, k) == height_from_particles(
-                        n, r, k, particles
-                    )
+    for t in exhaustive_and_sampled():
+        n = t.order
+        hf = height_function(t)
+        for r in range(1, n + 1):
+            particles, _ = zigzag_config(t, r)
+            for k in range(n + 2):
+                assert hf.zigzag_corner(r, k) == height_from_particles(
+                    n, r, k, particles
+                )
+
+
+def height_by_search(t):
+    """Oracle: heights by a depth-first walk over the vertices from (n, 0),
+    one edge at a time, as {(x, y): h}."""
+    n = t.order
+    owner = {sq: d for d in t.dominoes for sq in d.squares()}
+
+    def left_square(x, y, dx, dy):
+        return {(1, 0): (x, y), (0, 1): (x - 1, y),
+                (-1, 0): (x - 1, y - 1), (0, -1): (x, y - 1)}[(dx, dy)]
+
+    values = {(n, 0): 0}
+    stack = [(n, 0)]
+    while stack:
+        x, y = stack.pop()
+        for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            ls = left_square(x, y, dx, dy)
+            rs = left_square(x + dx, y + dy, -dx, -dy)
+            if ls not in owner and rs not in owner:
+                continue
+            s = -1 if square_is_white(*ls, n) else 1
+            h = values[(x, y)] + (-3 * s if owner.get(ls) is owner.get(rs) else s)
+            v = (x + dx, y + dy)
+            if v not in values:
+                values[v] = h
+                stack.append(v)
+            assert values[v] == h
+    return values
+
+
+def polar_by_search(t):
+    """Oracle: polar regions grown domino by domino from the boundary."""
+    n = t.order
+    kinds = t.kinds()
+    owner = {sq: d for d in t.dominoes for sq in d.squares()}
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+    def neighbours(d):
+        return [(sx + dx, sy + dy) for (sx, sy) in d.squares() for dx, dy in steps]
+
+    labels = {d: "temperate" for d in t.dominoes}
+    for kind, label in (("N", "north"), ("S", "south"), ("W", "west"), ("E", "east")):
+        frontier = [d for d in t.dominoes if kinds[d] == kind
+                    and any(sq not in owner for sq in neighbours(d))]
+        seen = set(frontier)
+        while frontier:
+            d = frontier.pop()
+            labels[d] = label
+            for sq in neighbours(d):
+                other = owner.get(sq)
+                if other is not None and other not in seen and kinds[other] == kind:
+                    seen.add(other)
+                    frontier.append(other)
+    return labels
+
+
+def test_grid_readers_match_search_oracles():
+    for t in exhaustive_and_sampled():
+        hf = height_function(t)
+        oracle = height_by_search(t)
+        n = t.order
+        vertices = {(x, y) for x in range(-n - 1, n + 2) for y in range(-n - 1, n + 2)
+                    if not np.ma.is_masked(hf.heights[y + n + 1, x + n + 1])}
+        assert vertices == set(oracle)
+        assert all(hf.at(x, y) == h for (x, y), h in oracle.items())
+        assert polar_regions(t) == polar_by_search(t)
+    with pytest.raises(GeometryError):
+        hf.at(n + 1, 0)  # a tip of the diamond is no corner of a square
 
 
 def test_height_from_particles_conventions():
@@ -171,7 +252,7 @@ def test_polar_regions_n1():
 def test_north_region_is_above_level1_path():
     # the north region must consist of N-dominoes and match the set of
     # dominoes lying entirely above the level-1 type-I path
-    for t in all_tilings(3):
+    for t in all_tilings(3) + [sampled_16()]:
         labels = polar_regions(t)
         kinds = t.kinds()
         north = {d for d, lab in labels.items() if lab == "north"}
@@ -206,6 +287,19 @@ def test_north_region_is_above_level1_path():
             if cy > path_y(cx):
                 above.add(d)
         assert above == north
+
+
+def test_validate_rejects_broken_tilings():
+    t = all_tilings(2)[0]
+    t.validate()
+    ds = list(t.dominoes)
+    outside = Tiling(order=2, dominoes=tuple(ds[:-1]) + (Domino(2, 0, True),))
+    doubled = Tiling(order=2, dominoes=tuple(ds) + (ds[0],))
+    missing = Tiling(order=2, dominoes=tuple(ds[1:]))
+    for broken, message in ((outside, "outside A_2"), (doubled, "covered twice"),
+                            (missing, "covered 10 squares")):
+        with pytest.raises(TilingError, match=message):
+            broken.validate()
 
 
 def test_even_vertical_count_exhaustive_and_sampled():

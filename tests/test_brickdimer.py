@@ -18,13 +18,33 @@ from tilings.brickdimer import (
     free_energy,
     free_energy_limit,
     kernel,
-    mode_weights,
     partition_function,
     partition_polynomial,
     paths_to_cover,
-    phi,
 )
-from tilings.brickdimer import partition_function_exact
+from tilings.brickdimer import _phi_matrix, partition_function_exact
+
+
+def phi(spec, s, t):
+    """Oracle for the mode basis phi(s, t), one entry at a time; s is a
+    height index and t a mode index, both in 0..N (mode t corresponds to
+    frequency j = t + 1; the top mode carries an extra 1/sqrt(2), like the
+    boundary weights of the analogous cosine transform)."""
+    N = spec.N
+    if not (0 <= s <= N and 0 <= t <= N):
+        raise ValueError("indices must lie in 0..N")
+    j = t + 1
+    c = 0.5 if j == N + 1 else 1.0
+    return math.sqrt(2.0 * c / (N + 1)) * math.sin(
+        math.pi * j * (2 * s + 1) / (2 * N + 2)
+    )
+
+
+def mode_weights(spec):
+    """Oracle eigenvalues lambda_j = cos(pi j/(2N+2))^(2M) of the 2M-step
+    even-height walk, modes j = 1..N+1 (the last one vanishes)."""
+    j = np.arange(1, spec.N + 2)
+    return np.cos(np.pi * j / (2 * spec.N + 2)) ** (2 * spec.M)
 
 
 def test_vertex_and_edge_structure():
@@ -42,6 +62,7 @@ def test_phi_orthogonality_and_eigen_relation():
     for N in (1, 2, 5, 16, 64):
         spec = BrickLatticeSpec(M=3, N=N)
         P = np.array([[phi(spec, s, t) for t in range(N + 1)] for s in range(N + 1)])
+        assert np.abs(_phi_matrix(spec) - P).max() < 1e-14
         assert np.abs(P @ P.T - np.eye(N + 1)).max() < 1e-10
         assert np.abs(P.T @ P - np.eye(N + 1)).max() < 1e-10
         T = np.zeros((2 * N + 1, 2 * N + 1))

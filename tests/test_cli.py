@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from tilings import hexagon, replica_rng
 from tilings.cli import run
 
 
@@ -199,3 +200,37 @@ def test_dimer_z_exact_mode(capsys):
     assert run(["dimer-z", "--M", "1", "--N", "1", "--z", "1", "--w", "1",
                 "--mode", "exact"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_hexagon_mcmc_replicas_are_independent_streams(tmp_path):
+    # replica r is sample_hexagon on stream (seed, r), however many run
+    spec = hexagon.HexagonSpec(3, 2, 2)
+    for replicas in (2, 3):
+        out = tmp_path / f"m{replicas}.json"
+        assert run(["hexagon-sample", "--a", "3", "--b", "2", "--c", "2",
+                    "--method", "mcmc", "--sweeps", "7", "--seed", "4",
+                    "--replicas", str(replicas), "--out", str(out)]) == 0
+        got = json.loads(out.read_text())["hole_columns"]
+        assert got == [
+            hexagon.walks_to_hole_columns(
+                hexagon.sample_hexagon(spec, replica_rng(4, r), "mcmc", 7))
+            for r in range(replicas)
+        ]
+
+
+def test_config_values_match_flags(tmp_path, capsys):
+    # the same values from flags and from --config give byte-identical output
+    cfgfile = tmp_path / "c.json"
+    flag_csv, cfg_csv = tmp_path / "flags.csv", tmp_path / "config.csv"
+    assert run(["growth-sim", "--M", "3", "--N", "3", "--q", "0.4",
+                "--out", str(flag_csv)]) == 0
+    cfgfile.write_text(json.dumps({"M": 3, "N": 3, "q": 0.4}))
+    assert run(["growth-sim", "--config", str(cfgfile), "--out", str(cfg_csv)]) == 0
+    assert flag_csv.read_bytes() == cfg_csv.read_bytes()
+    assert run(["dimer-z", "--M", "1", "--N", "1", "--z", "0.1", "--w", "1",
+                "--mode", "exact"]) == 0
+    from_flags = capsys.readouterr().out
+    assert from_flags.strip() == "201/1000"
+    cfgfile.write_text(json.dumps({"M": 1, "N": 1, "z": 0.1, "w": 1, "mode": "exact"}))
+    assert run(["dimer-z", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out == from_flags

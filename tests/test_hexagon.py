@@ -28,6 +28,7 @@ from tilings.hexagon import (
     sample_hexagon,
     walks_to_hole_columns,
 )
+from tilings.hexagon import _column_states, _transitions
 
 
 def macmahon_closed_form(a: int, b: int, c: int) -> int:
@@ -126,6 +127,31 @@ def test_lgv_product_totals():
 
 def test_walk_dp_equals_macmahon():
     for (a, b, c) in [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 2, 2), (3, 3, 3)]:
+        assert count_tilings_dp(HexagonSpec(a, b, c)) == macmahon(a, b, c)
+
+
+def transitions_by_sign_product(spec, m, state):
+    """Oracle: every one of the 2^c sign vectors, filtered afterwards."""
+    alpha1, beta1, _, _, _ = column_bounds(spec, m + 1)
+    out = []
+    for signs in itertools.product((-1, 1), repeat=spec.c):
+        nxt = tuple(s + d for s, d in zip(state, signs))
+        if all(u < v for u, v in zip(nxt, nxt[1:])) and alpha1 <= nxt[0] and nxt[-1] <= beta1:
+            out.append(nxt)
+    return out
+
+
+def test_transitions_match_sign_product_in_order():
+    for abc in [(4, 4, 4), (3, 3, 6), (5, 2, 3)]:
+        spec = HexagonSpec(*abc)
+        for m in range(spec.a + spec.b):
+            for state in _column_states(spec, m):
+                assert _transitions(spec, m, state) == transitions_by_sign_product(spec, m, state)
+
+
+def test_walk_dp_counts_dense_tall_hexagons():
+    # 13 and 28 walks: the DP visits only non-intersecting moves, not 2^c
+    for (a, b, c) in [(3, 3, 13), (3, 2, 28)]:
         assert count_tilings_dp(HexagonSpec(a, b, c)) == macmahon(a, b, c)
 
 
