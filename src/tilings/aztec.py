@@ -16,9 +16,14 @@ Squares are addressed by their lower-left corner.  The checkerboard colouring
 is fixed so that the leftmost square of each row in the top half is white,
 which works out to: square (x, y) is white iff x + y + n is even.
 
+A :class:`Tiling` holds its dominoes as the array ``anchors``, one row
+(x, y, horizontal) per domino in sorted order; the tuple of :class:`Domino`
+objects, ``dominoes``, is built from it on first use.  Equality, hashing,
+``key()``, ``vertical_count()`` and the JSON form read the array.
+
 :meth:`Tiling.validate` returns the tiling's square grid, which the readers
 (zig-zag configurations, heights, polar regions) work on with array
-operations: grid[y + n + 1, x + n + 1] is the index in ``dominoes`` of the
+operations: grid[y + n + 1, x + n + 1] is the index in ``anchors`` of the
 domino covering square (x, y) of the (2n+2)^2 box, or -1 outside A_n.  The
 grid is built once per tiling and cached.
 
@@ -35,8 +40,8 @@ stays in exact integer arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -123,28 +128,71 @@ def classify_domino(d: Domino, n: int) -> str:
     return _KINDS[_kind(d.x, d.y, d.horizontal, n)]
 
 
-def _anchors(dominoes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Anchor x, anchor y and horizontal (0/1) of each domino, as arrays."""
-    a = np.array([(d.x, d.y, d.horizontal) for d in dominoes], dtype=np.int64).reshape(-1, 3)
-    return a[:, 0], a[:, 1], a[:, 2]
+_ANCHOR_DTYPE = np.int32
 
 
-@dataclass(frozen=True)
+def _anchor_array(rows: Iterable[tuple[int, int, bool]]) -> np.ndarray:
+    """(k, 3) array of rows (x, y, horizontal), sorted like Domino tuples."""
+    a = np.array(list(rows), dtype=_ANCHOR_DTYPE).reshape(-1, 3)
+    return a[np.lexsort(a.T[::-1])]
+
+
 class Tiling:
-    order: int
-    dominoes: tuple[Domino, ...]
-    _grid: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    """A set of dominoes on A_n, stored as the array ``anchors``: one row
+    (x, y, horizontal) per domino, in the order of the sorted ``dominoes``.
+    ``dominoes``, the same set as a tuple of :class:`Domino`, is derived on
+    first use and cached.  Two tilings are equal when their orders and
+    anchor arrays are."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "dominoes", tuple(sorted(self.dominoes)))
+    __slots__ = ("_order", "_anchors", "_dominoes", "_grid")
+
+    def __init__(self, order: int, dominoes: Iterable[Domino]):
+        self._set(order, _anchor_array((d.x, d.y, d.horizontal) for d in dominoes))
+
+    @classmethod
+    def _from_anchors(cls, order: int, anchors: np.ndarray) -> "Tiling":
+        """Tiling holding a sorted anchor array (not copied)."""
+        t = object.__new__(cls)
+        t._set(order, anchors)
+        return t
+
+    def _set(self, order: int, anchors: np.ndarray) -> None:
+        anchors.flags.writeable = False
+        self._order, self._anchors, self._dominoes, self._grid = order, anchors, None, None
+
+    @property
+    def order(self) -> int:
+        return self._order
+
+    @property
+    def anchors(self) -> np.ndarray:
+        """Read-only (k, 3) array: anchor x, anchor y, horizontal (0/1)."""
+        return self._anchors
+
+    @property
+    def dominoes(self) -> tuple[Domino, ...]:
+        if self._dominoes is None:
+            self._dominoes = tuple(Domino(x, y, h == 1) for x, y, h in self._anchors.tolist())
+        return self._dominoes
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tiling):
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+    def __repr__(self) -> str:
+        return f"Tiling(order={self._order}, dominoes={self.dominoes!r})"
 
     def validate(self) -> np.ndarray:
         """Check that the dominoes tile A_n exactly and return the square
         grid (see the module docstring).  Read-only and cached."""
         if self._grid is not None:
             return self._grid
-        n, size = self.order, 2 * self.order + 2
-        x, y, h = _anchors(self.dominoes)
+        n, size = self._order, 2 * self._order + 2
+        x, y, h = self._anchors.T
         sx, sy = np.concatenate([x, x + h]), np.concatenate([y, y + 1 - h])
         outside = ~square_in_diamond(sx, sy, n)
         if outside.any():
@@ -158,20 +206,20 @@ class Tiling:
         if flat.size != 2 * n * (n + 1):
             raise TilingError(f"covered {flat.size} squares, A_{n} has {2 * n * (n + 1)}")
         grid = np.full((size, size), -1)
-        grid.flat[flat] = np.tile(np.arange(len(self.dominoes)), 2)
+        grid.flat[flat] = np.tile(np.arange(len(self._anchors)), 2)
         grid.flags.writeable = False
-        object.__setattr__(self, "_grid", grid)
+        self._grid = grid
         return grid
 
     def vertical_count(self) -> int:
-        return sum(1 for d in self.dominoes if not d.horizontal)
+        return int(np.count_nonzero(self._anchors[:, 2] == 0))
 
     def kinds(self) -> dict[Domino, str]:
-        return {d: classify_domino(d, self.order) for d in self.dominoes}
+        return {d: classify_domino(d, self._order) for d in self.dominoes}
 
     def key(self) -> tuple:
         """Hashable canonical form, for frequency counting."""
-        return (self.order, self.dominoes)
+        return (self._order, self._anchors.tobytes())
 
 
 @dataclass(frozen=True)
@@ -270,20 +318,20 @@ def extract_dr_paths(t: Tiling, flavor: str = "typeI") -> DRPathFamily:
         raise ValueError(f"unknown flavor {flavor!r}")
     t.validate()
     n = t.order
-    table = _SEGMENT_I if flavor == "typeI" else _SEGMENT_II
-    kinds = t.kinds()
+    table = [(_SEGMENT_I if flavor == "typeI" else _SEGMENT_II).get(k) for k in _KINDS]
+    x, y, h = t.anchors.T
 
     # Segments keyed by their start point, oriented in the direction of
     # increasing CS x (rightward for type II, leftward for type I in the
     # original frame).
     nxt: dict[tuple[int, int], tuple[int, int]] = {}
-    for d, kind in kinds.items():
-        seg = table.get(kind)
+    for ax, ay, kind in zip(x.tolist(), y.tolist(), _kind(x, y, h, n).tolist()):
+        seg = table[kind]
         if seg is None:
             continue
         (dx1, dy1), (dx2, dy2) = seg
-        p1 = (d.x + dx1, 2 * d.y + dy1)
-        p2 = (d.x + dx2, 2 * d.y + dy2)
+        p1 = (ax + dx1, 2 * ay + dy1)
+        p2 = (ax + dx2, 2 * ay + dy2)
         if flavor == "typeI":
             p1, p2 = p2, p1  # traverse right-to-left
         nxt[p1] = p2
@@ -377,7 +425,7 @@ def zigzag_config(t: Tiling, r: int) -> tuple[ParticleConfig, ParticleConfig]:
         raise GeometryError(f"level r={r} out of range 1..{n}")
     k = np.arange(n + 1)  # the k-th white square has lower-left corner (k-r, n-r-k)
     cells = t.validate()[2 * n + 1 - r - k, k - r + n + 1]
-    x, y, h = _anchors(t.dominoes[i] for i in cells)
+    x, y, h = t.anchors[cells].T
     particle = np.isin(_kind(x, y, h, n), (_KINDS.index("S"), _KINDS.index("W")))
     particles = tuple((n - k)[particle][::-1].tolist())
     holes = tuple((n - k)[~particle][::-1].tolist())
@@ -502,10 +550,10 @@ def polar_regions(t: Tiling) -> dict[Domino, str]:
     from scipy import ndimage  # here, not at the top: its import takes ~70 ms
     n = t.order
     grid = t.validate()
-    x, y, h = _anchors(t.dominoes)
+    x, y, h = t.anchors.T
     kind = np.append(_kind(x, y, h, n), -1)[grid]  # -1 outside A_n
     rim = ~ndimage.binary_erosion(grid >= 0)  # squares next to the outside
-    region = np.full(len(t.dominoes), _REGIONS.index("temperate"))
+    region = np.full(len(t.anchors), _REGIONS.index("temperate"))
     for code in range(len(_KINDS)):
         comp, _ = ndimage.label(kind == code)
         polar = np.isin(comp, comp[(kind == code) & rim])
@@ -524,12 +572,8 @@ def tiling_to_json(t: Tiling) -> str:
         {
             "order": t.order,
             "dominoes": [
-                {
-                    "x": d.x,
-                    "y": d.y,
-                    "orientation": "horizontal" if d.horizontal else "vertical",
-                }
-                for d in t.dominoes
+                {"x": x, "y": y, "orientation": "horizontal" if h else "vertical"}
+                for x, y, h in t.anchors.tolist()
             ],
         },
         sort_keys=True,
@@ -538,10 +582,7 @@ def tiling_to_json(t: Tiling) -> str:
 
 def tiling_from_json(s: str) -> Tiling:
     obj = json.loads(s)
-    dominoes = tuple(
-        Domino(d["x"], d["y"], d["orientation"] == "horizontal")
-        for d in obj["dominoes"]
-    )
-    t = Tiling(order=obj["order"], dominoes=dominoes)
+    rows = ((d["x"], d["y"], d["orientation"] == "horizontal") for d in obj["dominoes"])
+    t = Tiling._from_anchors(obj["order"], _anchor_array(rows))
     t.validate()
     return t

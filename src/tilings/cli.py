@@ -262,7 +262,7 @@ def _cmd_hexagon_law(cfg: ExperimentConfig) -> int:
 def _cmd_hexagon_sample(cfg: ExperimentConfig) -> int:
     spec = _hex_spec(cfg)
     method = cfg.params.get("method", "enumerate")
-    sweeps = int(cfg.params.get("sweeps", 0)) or None
+    sweeps = int(cfg.params["sweeps"]) if "sweeps" in cfg.params else None
     fams = _map_replicas(
         cfg, lambda r, rng: hexagon.sample_hexagon(spec, rng, method, sweeps)
     )

@@ -167,6 +167,29 @@ def lis_sample(alpha: float, rng: np.random.Generator) -> int:
 
 
 _ALPHA_LIMIT = 1e4
+_TAIL_TOL = 1e-15  # most that a truncation below may drop
+
+
+def _bessel_tail(alpha: float, K: int) -> float:
+    """Upper bound on sum_{k>=K} (k-K+1) alpha^k / (k!)^2.
+
+    As |J_k(2 sqrt(alpha))| <= alpha^(k/2) / k!, this bounds both
+    sum_{k>=K} J_k^2 and the trace sum_{x>=K-1} B(x, x) of the Bessel kernel
+    from x = K-1 on.  The terms fall by a factor r = alpha / (K+1)^2 or more
+    from k = K on, so the sum is at most alpha^K / (K!)^2 / (1-r)^2; with
+    r >= 1 the bound is infinite."""
+    r = alpha / (K + 1) ** 2
+    if r >= 1:
+        return math.inf
+    return math.exp(K * math.log(alpha) - 2 * math.lgamma(K + 1)) / (1 - r) ** 2
+
+
+def _check_bessel_tail(alpha: float, K: int) -> None:
+    """Raise unless Bessel orders K and up may be dropped (see _bessel_tail)."""
+    bound = _bessel_tail(alpha, K)
+    if not bound <= _TAIL_TOL:
+        raise ValueError(f"Bessel tail from order {K} at alpha={alpha:g} is bounded "
+                         f"only by {bound:.1e}, above {_TAIL_TOL:g}")
 
 
 def _bessel_row(alpha: float, max_order: int) -> np.ndarray:
@@ -182,31 +205,38 @@ def _bessel_row(alpha: float, max_order: int) -> np.ndarray:
 def bessel_kernel(alpha: float, x: int, y: int) -> float:
     """Discrete Bessel kernel
     B(x,y) = sqrt(alpha) (J_x J_{y+1} - J_{x+1} J_y) / (x - y), J_* at
-    2 sqrt(alpha); the diagonal is the limit value sum_{k>=1} J_{x+k}^2."""
+    2 sqrt(alpha); the diagonal is the limit value sum_{k>=1} J_{x+k}^2,
+    summed while the dropped orders are bounded by _TAIL_TOL."""
     if x < 0 or y < 0:
         raise ValueError("orders must be nonnegative")
     tail = int(max(60, 8 * math.sqrt(alpha)))
     J = _bessel_row(alpha, max(x, y) + tail + 40)
     if x != y:
         return math.sqrt(alpha) * (J[x] * J[y + 1] - J[x + 1] * J[y]) / (x - y)
+    _check_bessel_tail(alpha, len(J))
     return float(np.sum(J[x + 1:] ** 2))
 
 
 def _bessel_gram(alpha: float, lo: int, size: int) -> np.ndarray:
     """B restricted to {lo, ..., lo+size-1} via the series form
-    B(x,y) = sum_{k>=1} J_{x+k} J_{y+k} (manifestly symmetric PSD)."""
+    B(x,y) = sum_{k>=1} J_{x+k} J_{y+k} (manifestly symmetric PSD), each
+    series cut where the dropped orders are bounded by _TAIL_TOL."""
     tail = int(max(60, 8 * math.sqrt(alpha))) + 40
     J = _bessel_row(alpha, lo + size + tail)
+    # by Cauchy-Schwarz an entry drops at most the squares from lo + tail + 1 on
+    _check_bessel_tail(alpha, lo + tail + 1)
     T = np.stack([J[lo + i + 1: lo + i + 1 + tail] for i in range(size)])
     return T @ T.T
 
 
 def lis_cdf(alpha: float, n: int) -> float:
     """P[LIS of the Poissonized ensemble <= n] = det(I - B) on {n, n+1, ...},
-    truncated where the Bessel tail is negligible."""
+    truncated to a block whose dropped trace is bounded by _TAIL_TOL."""
     if n < 0:
         return 0.0
     size = int(max(60, 8 * math.sqrt(alpha)))
     B = _bessel_gram(alpha, n, size)
+    # the rows dropped, x >= n + size, hold trace sum_{x >= n+size} B(x, x)
+    _check_bessel_tail(alpha, n + size + 1)
     lam = np.clip(np.linalg.eigvalsh(B), 0.0, 1.0)
     return float(np.prod(1.0 - lam))

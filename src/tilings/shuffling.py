@@ -7,6 +7,12 @@ compass direction, and fill each empty 2x2 block with a vertical pair with
 probability q (horizontal otherwise).  The result after n stages is an exact
 sample for order n.
 
+Each phase works on whole arrays: the state is two boolean anchor grids
+(horizontal and vertical dominoes) over A_n's box, with a replica axis, so
+``sample_aztec(measure, rng, size=R)`` draws R tilings in one pass.  A
+single draw (``size=None``) takes the same values from the stream as the
+dict-per-domino shuffle kept in the tests as its reference.
+
 A brute-force weighted enumerator (exact rational weights) backs the
 statistical tests for small orders.
 """
@@ -19,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aztec import Domino, Tiling, _kind, diamond_squares
+from .aztec import _ANCHOR_DTYPE, Domino, Tiling, diamond_squares
 
 __all__ = [
     "AztecMeasure",
@@ -53,77 +59,103 @@ class AztecMeasure:
         return cls(n=n, w=math.sqrt(q / (1.0 - q)))
 
 
-_N, _S, _W, _E = range(4)  # kind codes of aztec._kind
-_SLIDE = ((0, 1), (0, -1), (-1, 0), (1, 0))  # by kind code
+def _box_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over the squares of A_n's box in the shuffle's flat layout, as
+    columns that broadcast over replicas: where x + y is even, where it is
+    odd, and the least order m with the square in A_m."""
+    x = np.arange(-n, n, dtype=np.int32)
+    even = ((x[:, None] + x) % 2 == 0).reshape(-1, 1)
+    d = np.abs(2 * x + 1)
+    return even, ~even, ((d[:, None] + d) // 2).reshape(-1, 1)
 
 
-def sample_aztec(measure: AztecMeasure, rng: np.random.Generator) -> Tiling:
-    """Draw one exact sample via n shuffle stages.  Kinds are recomputed
-    from the colouring of the current order at every stage, so stage k of
-    the shuffle is the order-k sample drawn from the same stream."""
-    n = measure.n
-    q = measure.q
-    anchors: dict[tuple[int, int], bool] = {}  # anchor -> horizontal?
+def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
+                 size: int | None = None) -> Tiling | list[Tiling]:
+    """Draw one exact sample via n shuffle stages, or a list of ``size``
+    samples drawn in one pass.
+
+    The state is two boolean anchor grids, H (horizontal dominoes) and V
+    (vertical), over the squares x, y in -n..n-1 of A_n's box.  They are
+    flattened row by row, with the replica last: square (x, y) of replica r
+    is [(y + n) * 2n + x + n, r], so a step in x is a step of 1 along the
+    first axis and a step in y one of 2n.  Stage m works on the rows of
+    A_m.  There a domino of A_{m-1} anchored at (x, y) is N (horizontal) or
+    E (vertical) when x + y + m - 1 is even, and S or W when it is odd.
+    Kinds are recomputed from the colouring of the current order at every
+    stage, so stage k is the order-k sample drawn from the same stream.
+
+    A single draw (``size=None``) takes one ``rng.random()`` value per
+    empty block, blocks in row-major order.  A batch takes each stage's
+    values block position by block position, replica by replica within a
+    position, so its replicas are not the tilings that ``size`` single
+    calls would draw.
+    """
+    n, q = measure.n, measure.q
+    R = 1 if size is None else size
+    W = 2 * n  # row length
+    H = np.zeros((W * W, R), dtype=bool)
+    V = np.zeros_like(H)
+    even_xy, odd_xy, level = _box_masks(n)
 
     for m in range(1, n + 1):
-        # destruction: drop bad pairs (facing dominoes that would collide)
-        bad: set[tuple[int, int]] = set()
-        for (x, y), horiz in anchors.items():
-            if horiz:
-                up = anchors.get((x, y + 1))
-                if up is True and _kind(x, y, True, m - 1) == _N \
-                        and _kind(x, y + 1, True, m - 1) == _S:
-                    bad.add((x, y))
-                    bad.add((x, y + 1))
-            else:
-                right = anchors.get((x + 1, y))
-                if right is False and _kind(x, y, False, m - 1) == _E \
-                        and _kind(x + 1, y, False, m - 1) == _W:
-                    bad.add((x, y))
-                    bad.add((x + 1, y))
-        for key in bad:
-            del anchors[key]
+        rows = slice((n - m) * W, (n + m) * W)
+        h, v = H[rows], V[rows]  # views
+        even = (even_xy if m % 2 else odd_xy)[rows]  # x + y + m - 1 even
 
-        # sliding: one unit in the compass direction of the kind
-        moved: dict[tuple[int, int], bool] = {}
-        for (x, y), horiz in anchors.items():
-            dx, dy = _SLIDE[_kind(x, y, horiz, m - 1)]
-            target = (x + dx, y + dy)
-            if target in moved:
-                raise AssertionError("slide collision: bad-pair removal failed")
-            moved[target] = horiz
-        anchors = moved
+        # destruction and sliding: N up and S down, E right and W left,
+        # except that an N right below an S, or an E right left of a W,
+        # would collide and are dropped.  The dominoes of A_{m-1} keep off
+        # the outer rows of A_m's rows and off the box's outer columns, so
+        # no shift loses a domino or wraps it to another row.
+        up = h & even  # N; h keeps S
+        h ^= up
+        bad = up[:-W] & h[W:]
+        up[:-W] ^= bad
+        h[W:] ^= bad
+        h[:-W] = h[W:]
+        h[W:] |= up[:-W]
+        right = v & even  # E; v keeps W
+        v ^= right
+        bad = right[:-1] & v[1:]
+        right[:-1] ^= bad
+        v[1:] ^= bad
+        v[:-1] = v[1:]
+        v[1:] |= right[:-1]
 
-        # filling: locate empty 2x2 blocks of A_m and fill independently.
-        # The block set is determined by the configuration (greedy row-major
-        # scan: the first uncovered square is always a block's lower-left
-        # corner); blocks consume draws in row-major order.
-        covered: set[tuple[int, int]] = set()
-        for (x, y), horiz in anchors.items():
-            covered.add((x, y))
-            covered.add((x + 1, y) if horiz else (x, y + 1))
-        empties = [sq for sq in diamond_squares(m) if sq not in covered]
-        empties_set = set(empties)
-        blocks: list[tuple[int, int]] = []
-        for (x, y) in empties:
-            if (x, y) not in empties_set:
-                continue
-            block = ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
-            if any(sq not in empties_set for sq in block):
-                raise AssertionError(f"empty region at {(x, y)} is not a 2x2 block")
-            for sq in block:
-                empties_set.discard(sq)
-            blocks.append((x, y))
-        for (x, y) in blocks:
-            if rng.random() < q:
-                anchors[(x, y)] = False
-                anchors[(x + 1, y)] = False
-            else:
-                anchors[(x, y)] = True
-                anchors[(x, y + 1)] = True
+        # filling: the empty squares form disjoint 2x2 blocks, and each
+        # block's lower-left corner has x + y + m odd, like its upper-right
+        # square; of the two, the corner is at an odd running count of
+        # empties along its row.  The check below confirms that the blocks
+        # found tile the empty squares exactly.
+        covered = h | v
+        covered[1:] |= h[:-1]
+        covered[W:] |= v[:-W]
+        empty = level[rows] <= m
+        empty = empty > covered
+        corner = np.logical_xor.accumulate(empty.reshape(2 * m, W, R), axis=1)
+        corner = corner.reshape(-1, R)
+        corner &= even
+        blocks = corner.copy()
+        blocks[1:] |= corner[:-1]
+        blocks[W:] |= blocks[:-W]
+        k = np.count_nonzero(corner)
+        if 4 * k != np.count_nonzero(empty) or (blocks != empty).any():
+            raise AssertionError(f"stage {m}: the empty squares are not 2x2 blocks")
+        vertical = np.zeros(corner.shape, dtype=bool)
+        vertical[corner] = rng.random(k) < q  # row-major block order
+        corner ^= vertical  # now the horizontal blocks
+        v |= vertical
+        v[1:] |= vertical[:-1]
+        h |= corner
+        h[W:] |= corner[:-W]
 
-    dominoes = tuple(Domino(x, y, horiz) for (x, y), horiz in anchors.items())
-    return Tiling(order=n, dominoes=dominoes)
+    # anchors sorted by x, then y, as a sorted Domino tuple is
+    H, V = H.reshape(W, W, R), V.reshape(W, W, R)
+    r, x, y = np.nonzero((H | V).transpose(2, 1, 0))
+    anchors = np.stack([x - n, y - n, H[y, x, r]], axis=-1, dtype=_ANCHOR_DTYPE)
+    anchors = anchors.reshape(R, n * (n + 1), 3)
+    tilings = [Tiling._from_anchors(n, a) for a in anchors]
+    return tilings[0] if size is None else tilings
 
 
 def enumerate_tilings(n: int, w: Fraction | int = 1) -> list[tuple[Tiling, Fraction]]:

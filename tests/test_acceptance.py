@@ -105,8 +105,7 @@ def test_03_shuffling_law():
     R = 100000
     counts: Counter = Counter()
     m = AztecMeasure.from_q(2, 0.5)
-    for _ in range(R):
-        counts[sample_aztec(m, rng).key()] += 1
+    counts.update(t.key() for t in sample_aztec(m, rng, size=R))
     assert len(counts) == 8
     chi = sum((o - R / 8) ** 2 / (R / 8) for o in counts.values())
     p_value = float(chi2_dist.sf(chi, 7))
@@ -115,8 +114,8 @@ def test_03_shuffling_law():
     m3 = AztecMeasure.from_q(3, 0.3)
     law = vertical_count_law(3, 0.3)
     obs = np.zeros(len(law))
-    for _ in range(R):
-        obs[sample_aztec(m3, rng).vertical_count() // 2] += 1
+    for t in sample_aztec(m3, rng, size=R):
+        obs[t.vertical_count() // 2] += 1
     worst = 0.0
     for k, pr in enumerate(law):
         sd = math.sqrt(R * pr * (1 - pr))

@@ -1,6 +1,8 @@
 """Geometry layer: domino kinds, path bijections, zig-zag configurations,
 heights and polar regions, cross-checked exhaustively on small diamonds."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -312,8 +314,17 @@ def test_even_vertical_count_exhaustive_and_sampled():
 
 
 def test_json_round_trip():
-    for t in all_tilings(2):
-        assert tiling_from_json(tiling_to_json(t)).key() == t.key()
+    # built from Domino tuples, by the sampler or from JSON: one value
+    tilings = all_tilings(2) + [sampled_16()]
+    for t in tilings:
+        back = tiling_from_json(tiling_to_json(t))
+        rebuilt = Tiling(t.order, reversed(t.dominoes))
+        assert back == t == rebuilt and hash(back) == hash(t) == hash(rebuilt)
+        assert back.key() == t.key() and back.dominoes == t.dominoes
+    assert tilings[0] != tilings[1]
+    # the JSON bytes of the seeded sample, as written before Tiling held arrays
+    digest = hashlib.sha256(tiling_to_json(tilings[-1]).encode()).hexdigest()
+    assert digest == "1165f4ec9c4050726dbe2e6cc8e9e12df70c2a9a55d5807f65855e422d62cb3a"
 
 
 def test_json_has_no_kind_field():

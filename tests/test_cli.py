@@ -218,6 +218,20 @@ def test_hexagon_mcmc_replicas_are_independent_streams(tmp_path):
         ]
 
 
+def test_hexagon_sweeps_zero_runs_burn_in_only(tmp_path):
+    # --sweeps 0 adds no sweeps after the burn-in; it is not the default 10
+    files = {}
+    for sweeps in ("0", "10"):
+        out = tmp_path / f"s{sweeps}.json"
+        assert run(["hexagon-sample", "--a", "3", "--b", "2", "--c", "2",
+                    "--method", "mcmc", "--sweeps", sweeps, "--seed", "1",
+                    "--out", str(out)]) == 0
+        files[sweeps] = out.read_bytes()
+    assert files["0"] != files["10"]
+    chain = hexagon.sample_hexagon(hexagon.HexagonSpec(3, 2, 2), replica_rng(1, 0), "mcmc", 0)
+    assert json.loads(files["0"])["hole_columns"] == [hexagon.walks_to_hole_columns(chain)]
+
+
 def test_config_values_match_flags(tmp_path, capsys):
     # the same values from flags and from --config give byte-identical output
     cfgfile = tmp_path / "c.json"

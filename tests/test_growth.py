@@ -12,6 +12,8 @@ from scipy.stats import chi2 as chi2_dist
 
 from tilings.aztec import zigzag_config
 from tilings.growth import (
+    _bessel_tail,
+    _check_bessel_tail,
     aztec_partition,
     bessel_kernel,
     corner_growth_step,
@@ -243,6 +245,20 @@ def test_bessel_trace_tail():
         n = 3
         tail = sum(bessel_kernel(alpha, x, x) for x in range(n + 60, n + 140))
         assert tail < 1e-12
+        # the a-priori bound on the trace from x = K-1 on, where it is not small
+        K = int(2 * math.sqrt(alpha)) + 2
+        trace = sum(bessel_kernel(alpha, x, x) for x in range(K - 1, K + 100))
+        assert 1e-6 < trace <= _bessel_tail(alpha, K)
+
+
+def test_bessel_tail_bound_at_largest_alpha():
+    alpha = 1e4  # the largest allowed
+    # at n = 2 sqrt(alpha) the law is near Tracy-Widom F_2(0) = 0.9694
+    assert abs(lis_cdf(alpha, 200) - 0.9694) < 0.01
+    assert 0 < bessel_kernel(alpha, 200, 200) < 1
+    # a cut at 2 sqrt(alpha) would drop far too much, and is refused
+    with pytest.raises(ValueError, match="Bessel tail"):
+        _check_bessel_tail(alpha, 200)
 
 
 def test_lis_cdf_vs_monte_carlo():

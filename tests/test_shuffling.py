@@ -2,19 +2,89 @@
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
-from tilings.aztec import Tiling
+from tilings.aztec import Domino, Tiling, _kind, diamond_squares
 from tilings.shuffling import (
     AztecMeasure,
     enumerate_tilings,
     sample_aztec,
     vertical_count_law,
 )
+
+
+_SLIDE = ((0, 1), (0, -1), (-1, 0), (1, 0))  # by kind code N, S, W, E
+
+
+def dict_shuffle_oracle(measure: AztecMeasure, rng: np.random.Generator) -> Tiling:
+    """Domino shuffling with one dict entry per domino: the reference for
+    sample_aztec's single draws.  Draws one rng.random() per empty block,
+    blocks in row-major order."""
+    n = measure.n
+    q = measure.q
+    anchors: dict[tuple[int, int], bool] = {}  # anchor -> horizontal?
+
+    for m in range(1, n + 1):
+        # destruction: drop bad pairs (facing dominoes that would collide)
+        bad: set[tuple[int, int]] = set()
+        for (x, y), horiz in anchors.items():
+            if horiz:
+                up = anchors.get((x, y + 1))
+                if up is True and _kind(x, y, True, m - 1) == 0 \
+                        and _kind(x, y + 1, True, m - 1) == 1:
+                    bad.add((x, y))
+                    bad.add((x, y + 1))
+            else:
+                right = anchors.get((x + 1, y))
+                if right is False and _kind(x, y, False, m - 1) == 3 \
+                        and _kind(x + 1, y, False, m - 1) == 2:
+                    bad.add((x, y))
+                    bad.add((x + 1, y))
+        for key in bad:
+            del anchors[key]
+
+        # sliding: one unit in the compass direction of the kind
+        moved: dict[tuple[int, int], bool] = {}
+        for (x, y), horiz in anchors.items():
+            dx, dy = _SLIDE[_kind(x, y, horiz, m - 1)]
+            target = (x + dx, y + dy)
+            if target in moved:
+                raise AssertionError("slide collision: bad-pair removal failed")
+            moved[target] = horiz
+        anchors = moved
+
+        # filling: the first uncovered square in row-major order is always
+        # the lower-left corner of an empty 2x2 block
+        covered: set[tuple[int, int]] = set()
+        for (x, y), horiz in anchors.items():
+            covered.add((x, y))
+            covered.add((x + 1, y) if horiz else (x, y + 1))
+        empties = [sq for sq in diamond_squares(m) if sq not in covered]
+        empties_set = set(empties)
+        blocks: list[tuple[int, int]] = []
+        for (x, y) in empties:
+            if (x, y) not in empties_set:
+                continue
+            block = ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
+            if any(sq not in empties_set for sq in block):
+                raise AssertionError(f"empty region at {(x, y)} is not a 2x2 block")
+            for sq in block:
+                empties_set.discard(sq)
+            blocks.append((x, y))
+        for (x, y) in blocks:
+            if rng.random() < q:
+                anchors[(x, y)] = False
+                anchors[(x + 1, y)] = False
+            else:
+                anchors[(x, y)] = True
+                anchors[(x, y + 1)] = True
+
+    return Tiling(n, (Domino(x, y, horiz) for (x, y), horiz in anchors.items()))
 
 
 def chi2_pvalue(observed: dict, expected: dict, total: int) -> float:
@@ -69,7 +139,7 @@ def test_n1_sampler_probabilities():
     q = 0.35
     m = AztecMeasure.from_q(1, q)
     R = 40000
-    vert = sum(sample_aztec(m, rng).vertical_count() == 2 for _ in range(R))
+    vert = sum(t.vertical_count() == 2 for t in sample_aztec(m, rng, size=R))
     assert abs(vert / R - q) < 4 * math.sqrt(q * (1 - q) / R)
 
 
@@ -84,10 +154,7 @@ def test_sampler_matches_enumeration(n, w):
     rng = np.random.default_rng(100 + n * 10 + w)
     m = AztecMeasure(n=n, w=float(w))
     R = 30000
-    observed = {}
-    for _ in range(R):
-        key = sample_aztec(m, rng).key()
-        observed[key] = observed.get(key, 0) + 1
+    observed = Counter(t.key() for t in sample_aztec(m, rng, size=R))
     assert set(observed) <= set(expected)
     assert chi2_pvalue(observed, expected, R) > 1e-3
 
@@ -96,9 +163,27 @@ def test_intermediate_stages_are_valid_tilings():
     # stage k of an order-10 shuffle is the order-k sample from the same
     # stream, so these are the ten stages of one order-10 draw
     for k in range(1, 11):
-        t = sample_aztec(AztecMeasure.from_q(k, 0.3), np.random.default_rng(5))
+        m = AztecMeasure.from_q(k, 0.3)
+        t = sample_aztec(m, np.random.default_rng(5))
         assert t.order == k
         t.validate()
+        for b in sample_aztec(m, np.random.default_rng(5), size=3):
+            assert b.order == k
+            b.validate()
+
+
+def test_single_draws_match_dict_oracle():
+    # draw for draw: the same tiling, and the same values taken from the stream
+    for n in [*range(1, 11), 16, 48]:
+        for q in (0.3, 0.5, 0.7):
+            m = AztecMeasure.from_q(n, q)
+            for seed in range(3):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                t, ref = sample_aztec(m, rng), dict_shuffle_oracle(m, ref_rng)
+                assert t == ref and hash(t) == hash(ref) and t.dominoes == ref.dominoes
+                assert rng.random() == ref_rng.random()
+                # a batch of one takes its values in the same order
+                assert sample_aztec(m, np.random.default_rng(seed), size=1) == [t]
 
 
 def test_vertical_count_law_exact_vs_enumeration():
@@ -129,8 +214,8 @@ def test_sampler_vertical_law_statistical():
     m = AztecMeasure.from_q(n, q)
     R = 30000
     counts = np.zeros(n * (n + 1) // 2 + 1)
-    for _ in range(R):
-        counts[sample_aztec(m, rng).vertical_count() // 2] += 1
+    for t in sample_aztec(m, rng, size=R):
+        counts[t.vertical_count() // 2] += 1
     law = vertical_count_law(n, q)
     for k, pr in enumerate(law):
         sd = math.sqrt(R * pr * (1 - pr))
@@ -165,9 +250,6 @@ def test_sampler_matches_enumeration_order4():
         rng = np.random.default_rng(4000 + w)
         m = AztecMeasure(n=4, w=float(w))
         R = 100000
-        observed = {}
-        for _ in range(R):
-            key = sample_aztec(m, rng).key()
-            observed[key] = observed.get(key, 0) + 1
+        observed = Counter(t.key() for t in sample_aztec(m, rng, size=R))
         assert set(observed) <= set(expected)
         assert chi2_pvalue(observed, expected, R) > 1e-3
