@@ -60,7 +60,6 @@ __all__ = [
     "extract_dr_paths",
     "dr_paths_to_tiling",
     "zigzag_config",
-    "zigzag_from_paths",
     "height_function",
     "height_from_particles",
     "polar_regions",
@@ -131,9 +130,10 @@ def classify_domino(d: Domino, n: int) -> str:
 _ANCHOR_DTYPE = np.int32
 
 
-def _anchor_array(rows: Iterable[tuple[int, int, bool]]) -> np.ndarray:
+def _anchor_array(rows: Iterable[tuple[int, int, bool]] | np.ndarray) -> np.ndarray:
     """(k, 3) array of rows (x, y, horizontal), sorted like Domino tuples."""
-    a = np.array(list(rows), dtype=_ANCHOR_DTYPE).reshape(-1, 3)
+    rows = rows if isinstance(rows, np.ndarray) else list(rows)
+    a = np.asarray(rows, dtype=_ANCHOR_DTYPE).reshape(-1, 3)
     return a[np.lexsort(a.T[::-1])]
 
 
@@ -355,54 +355,29 @@ def extract_dr_paths(t: Tiling, flavor: str = "typeI") -> DRPathFamily:
 
 
 def dr_paths_to_tiling(family: DRPathFamily) -> Tiling:
-    """Inverse of :func:`extract_dr_paths`: fill marked dominoes along the
-    paths, then cover the rest with the unmarked kind."""
+    """Inverse of :func:`extract_dr_paths`: place the marked domino of every
+    path step, then cover each square of A_n that is left uncovered and has
+    the anchor colour with a horizontal domino of the unmarked kind (N for
+    type I, S for type II).  Raises TilingError if that does not tile."""
     family.validate()
-    n = family.order
-    flavor = family.flavor
-    dominoes: list[Domino] = []
-
-    for path in family.paths:
-        for p, q in zip(path, path[1:]):
-            step = (q[0] - p[0], q[1] - p[1])
-            x1, y21 = _from_cs(p[0], p[1], n, flavor)
-            x2, y22 = _from_cs(q[0], q[1], n, flavor)
-            if flavor == "typeI":
-                # traversal right-to-left in the original frame
-                if step == (1, 1):    # S-domino, horizontal mid segment
-                    dominoes.append(Domino(x2, (y22 - 1) // 2, True))
-                elif step == (1, 0):  # W-domino
-                    dominoes.append(Domino(x2, (y22 - 1) // 2, False))
-                else:                 # E-domino
-                    dominoes.append(Domino(x2, (y22 - 3) // 2, False))
-            else:
-                if step == (1, 1):    # N-domino
-                    dominoes.append(Domino(x1, (y21 - 1) // 2, True))
-                elif step == (1, 0):  # E-domino carries the rising mark
-                    dominoes.append(Domino(x1, (y21 - 1) // 2, False))
-                else:                 # W-domino carries the falling mark
-                    dominoes.append(Domino(x1, (y21 - 3) // 2, False))
-
-    covered: set[tuple[int, int]] = set()
-    for d in dominoes:
-        covered.update(d.squares())
-
-    # Fill the complement: horizontal dominoes anchored on the square whose
-    # colour makes them the unmarked kind (N for type I, S for type II).
-    want_white_anchor = flavor == "typeI"
-    for (x, y) in diamond_squares(n):
-        if (x, y) in covered:
-            continue
-        if square_is_white(x, y, n) != want_white_anchor:
-            continue
-        partner = (x + 1, y)
-        if partner in covered or not square_in_diamond(*partner, n):
-            raise TilingError(f"cannot complete tiling at square ({x},{y})")
-        dominoes.append(Domino(x, y, True))
-        covered.add((x, y))
-        covered.add(partner)
-
-    t = Tiling(order=n, dominoes=tuple(dominoes))
+    n, flavor = family.order, family.flavor
+    p = np.array([v for path in family.paths for v in path[:-1]])
+    q = np.array([v for path in family.paths for v in path[1:]])
+    # the left end of a step in the original frame (type I runs right to left)
+    # is the midpoint of the left side of its marked domino's anchor square, or
+    # of the square above it for a (0, 1) step; (1, 1) steps mark horizontals
+    x, y2 = _from_cs(*(q if flavor == "typeI" else p).T, n, flavor)
+    dx, dy = (q - p).T
+    marked = np.column_stack([x, (y2 - 1) // 2 - (dx == 0), dx * dy])
+    mx, my, mh = marked.T
+    covered = np.zeros((2 * n + 2, 2 * n + 2), dtype=bool)
+    for sx, sy in ((mx, my), (mx + mh, my + 1 - mh)):
+        covered[sy + n + 1, sx + n + 1] = True
+    y, x = np.mgrid[-n - 1:n + 1, -n - 1:n + 1]
+    fill = (square_in_diamond(x, y, n) & ~covered
+            & (square_is_white(x, y, n) == (flavor == "typeI")))
+    filled = np.column_stack([x[fill], y[fill], np.ones_like(x[fill])])
+    t = Tiling._from_anchors(n, _anchor_array(np.concatenate([marked, filled])))
     t.validate()
     return t
 
@@ -410,6 +385,18 @@ def dr_paths_to_tiling(family: DRPathFamily) -> Tiling:
 # ---------------------------------------------------------------------------
 # Zig-zag configurations
 # ---------------------------------------------------------------------------
+
+
+def _level_particles(t: Tiling, r) -> np.ndarray:
+    """particle[..., k]: whether the k-th white square of zig-zag level r,
+    the one with lower-left corner (k-r, n-r-k), k = 0..n, is covered by an
+    S- or W-domino.  r may be an array of levels, which leads the result."""
+    n = t.order
+    r = np.asarray(r)[..., None]
+    k = np.arange(n + 1)
+    cells = t.anchors[t.validate()[2 * n + 1 - r - k, k - r + n + 1]]
+    kind = _kind(cells[..., 0], cells[..., 1], cells[..., 2], n)
+    return np.isin(kind, (_KINDS.index("S"), _KINDS.index("W")))
 
 
 def zigzag_config(t: Tiling, r: int) -> tuple[ParticleConfig, ParticleConfig]:
@@ -423,35 +410,13 @@ def zigzag_config(t: Tiling, r: int) -> tuple[ParticleConfig, ParticleConfig]:
     n = t.order
     if not 1 <= r <= n:
         raise GeometryError(f"level r={r} out of range 1..{n}")
-    k = np.arange(n + 1)  # the k-th white square has lower-left corner (k-r, n-r-k)
-    cells = t.validate()[2 * n + 1 - r - k, k - r + n + 1]
-    x, y, h = t.anchors[cells].T
-    particle = np.isin(_kind(x, y, h, n), (_KINDS.index("S"), _KINDS.index("W")))
-    particles = tuple((n - k)[particle][::-1].tolist())
-    holes = tuple((n - k)[~particle][::-1].tolist())
+    particle = _level_particles(t, r)
+    sites = n - np.arange(n + 1)
+    particles = tuple(sites[particle][::-1].tolist())
+    holes = tuple(sites[~particle][::-1].tolist())
     if len(particles) != r:
         raise TilingError(f"expected {r} particles, found {len(particles)}")
     return ParticleConfig(n, particles), ParticleConfig(n, holes)
-
-
-def zigzag_from_paths(t: Tiling, r: int) -> tuple[ParticleConfig, ParticleConfig]:
-    """Same configurations obtained as the last positions of the DR-paths on
-    the cross-section column (particles from type I, holes from type II)."""
-    n = t.order
-    fam1 = extract_dr_paths(t, "typeI")
-    particles = sorted(
-        max(y for (x, y) in path if x == r)
-        for path in fam1.paths[:r]  # paths starting at (k,0), k <= r
-    )
-    fam2 = extract_dr_paths(t, "typeII")
-    holes = sorted(
-        n - max(y for (x, y) in path if x == n + 1 - r)
-        for path in fam2.paths[: n + 1 - r]  # paths starting at (k,0), k <= n+1-r
-    )
-    return (
-        ParticleConfig(window=n, positions=tuple(particles)),
-        ParticleConfig(window=n, positions=tuple(holes)),
-    )
 
 
 # ---------------------------------------------------------------------------

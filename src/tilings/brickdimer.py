@@ -35,6 +35,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
+from .hexagon import _moves
+
 __all__ = [
     "BrickLatticeSpec",
     "DimerCover",
@@ -181,12 +183,7 @@ def partition_polynomial(M: int, N: int) -> dict[int, int]:
                 allowed = heights[par]
                 lo, hi = (allowed[0], allowed[-1]) if allowed else (0, 0)
                 for state, cnt in layer.items():
-                    for signs in itertools.product((-1, 1), repeat=L):
-                        cand = tuple(v + d for v, d in zip(state, signs))
-                        if any(u >= v for u, v in zip(cand, cand[1:])):
-                            continue
-                        if cand and (cand[0] < lo or cand[-1] > hi):
-                            continue
+                    for cand in _moves(state, lo, hi):
                         nxt[cand] = nxt.get(cand, 0) + cnt
                 layer = nxt
             total += layer.get(s0, 0)

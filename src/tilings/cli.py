@@ -169,7 +169,7 @@ def _cmd_growth_sim(cfg: ExperimentConfig) -> int:
     M, N, q = int(cfg.params["M"]), int(cfg.params["N"]), float(cfg.params["q"])
 
     def one(r, rng):
-        W = growth.sample_weight_matrix(M, N, q, rng)
+        W = growth.sample_geometric(q, (M, N), rng)
         return [r, int(growth.lpp_value(W)[-1, -1])]
 
     rows = _map_replicas(cfg, one)

@@ -12,8 +12,10 @@ below t+M-1.
 
 Also here: the corner-growth set dynamics (independent corner filling with
 probability 1 - q), the partition read off the north polar zone of an Aztec
-tiling, Poissonized longest-increasing-subsequence sampling by patience
-sorting, and the discrete Bessel kernel with its Fredholm gap determinant.
+tiling (lambda_r = n minus the largest particle on zig-zag level r, which is
+the index of the first particle on that level), Poissonized
+longest-increasing-subsequence sampling by patience sorting, and the discrete
+Bessel kernel with its Fredholm gap determinant.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ import numpy as np
 from scipy.special import jv
 
 from . import ope
-from .aztec import Tiling, extract_dr_paths
+from .aztec import Tiling, _level_particles
 
 __all__ = [
     "sample_geometric",
-    "sample_weight_matrix",
     "lpp_value",
     "lpp_cdf_exact",
     "corner_growth_step",
@@ -51,10 +52,6 @@ def sample_geometric(q: float, size, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(size, dtype=np.int64)
     u = rng.random(size)
     return np.floor(np.log(u) / math.log(q)).astype(np.int64)
-
-
-def sample_weight_matrix(M: int, N: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    return sample_geometric(q, (M, N), rng)
 
 
 def lpp_value(W: np.ndarray) -> np.ndarray:
@@ -131,14 +128,13 @@ def corner_shape_from_lpp(G: np.ndarray, n: int) -> tuple[int, ...]:
 
 
 def aztec_partition(t: Tiling) -> tuple[int, ...]:
-    """Partition encoding the north polar zone: column maxima of the level-1
-    path, lambda_l = n - max{y : (l, y) on the path}."""
+    """Partition encoding the north polar zone: lambda_r = n - (the largest
+    particle on zig-zag level r) = the index k of the first particle on that
+    level, for r = 1..n, then lambda_{n+1} = 0 (the column maxima of the
+    level-1 DR path)."""
     n = t.order
-    path = extract_dr_paths(t, "typeI").paths[0]
-    best: dict[int, int] = {}
-    for (x, y) in path:
-        best[x] = max(best.get(x, -1), y)
-    lam = tuple(n - best[ell] for ell in range(1, n + 2))
+    first = _level_particles(t, np.arange(1, n + 1)).argmax(axis=-1)
+    lam = tuple(first.tolist()) + (0,)
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise AssertionError(f"non-monotone partition {lam}")
     return lam

@@ -79,40 +79,52 @@ def column_bounds(spec: HexagonSpec, m: int) -> tuple[int, int, int, int, int]:
     return alpha, beta, gamma, L, delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkFamily:
-    """c non-intersecting walks stored as an array S[k, m]."""
+    """c non-intersecting walks as a read-only int64 array S of shape
+    (c, a+b+1): S[k, m] is the height of walk k+1 at column m.  The family
+    holds its own copy of the array it is given."""
 
     spec: HexagonSpec
-    S: tuple[tuple[int, ...], ...]
+    S: np.ndarray
+
+    def __post_init__(self):
+        S = np.array(self.S, dtype=np.int64)
+        S.flags.writeable = False
+        object.__setattr__(self, "S", S)
 
     def validate(self) -> None:
         a, b, c = self.spec.a, self.spec.b, self.spec.c
         S = self.S
-        if len(S) != c or any(len(row) != a + b + 1 for row in S):
+        if S.shape != (c, a + b + 1):
             raise ValueError("wrong walk family shape")
-        for k in range(c):
-            if S[k][0] != 2 * k or S[k][a + b] != a - b + 2 * k:
-                raise ValueError(f"walk {k + 1} has wrong endpoints")
-            for m in range(a + b):
-                if abs(S[k][m + 1] - S[k][m]) != 1:
-                    raise ValueError(f"walk {k + 1} takes a non-unit step at {m}")
-        for m in range(a + b + 1):
-            alpha, beta, _, _, _ = column_bounds(self.spec, m)
-            col = [S[k][m] for k in range(c)]
-            if any(v < alpha or v > beta for v in col):
+        k = np.arange(c)
+        ends = (S[:, 0] != 2 * k) | (S[:, -1] != a - b + 2 * k)
+        jumps = np.abs(np.diff(S, axis=1)) != 1
+        bad = ends | jumps.any(axis=1)
+        if bad.any():
+            w = int(np.argmax(bad))
+            if ends[w]:
+                raise ValueError(f"walk {w + 1} has wrong endpoints")
+            raise ValueError(f"walk {w + 1} takes a non-unit step at {np.argmax(jumps[w])}")
+        alpha, beta = np.array([column_bounds(self.spec, m)[:2] for m in range(a + b + 1)]).T
+        outside = ((S < alpha) | (S > beta)).any(axis=0)
+        bad = outside | (np.diff(S, axis=0) <= 0).any(axis=0)
+        if bad.any():
+            m = int(np.argmax(bad))
+            if outside[m]:
                 raise ValueError(f"walk leaves the hexagon at column {m}")
-            if any(u >= v for u, v in zip(col, col[1:])):
-                raise ValueError(f"walks intersect at column {m}")
+            raise ValueError(f"walks intersect at column {m}")
 
     def particles(self, m: int) -> tuple[int, ...]:
         alpha = column_bounds(self.spec, m)[0]
-        return tuple((s[m] - alpha) // 2 for s in self.S)
+        return tuple(((self.S[:, m] - alpha) // 2).tolist())
 
     def holes(self, m: int) -> tuple[int, ...]:
-        gamma = column_bounds(self.spec, m)[2]
-        occ = set(self.particles(m))
-        return tuple(x for x in range(gamma + 1) if x not in occ)
+        alpha, _, gamma, _, _ = column_bounds(self.spec, m)
+        free = np.ones(gamma + 1, dtype=bool)
+        free[(self.S[:, m] - alpha) // 2] = False
+        return tuple(np.flatnonzero(free).tolist())
 
 
 def walks_to_hole_columns(fam: WalkFamily) -> list[list[int]]:
@@ -253,16 +265,22 @@ def _column_states(spec: HexagonSpec, m: int) -> list[tuple[int, ...]]:
     return [tuple(s) for s in itertools.combinations(heights, c)]
 
 
-def _transitions(spec: HexagonSpec, m: int, state: tuple[int, ...]):
-    """All non-intersecting one-step moves from column m to m+1, built walk
-    by walk so that only non-intersecting prefixes are extended.  Walk 0
-    varies slowest and -1 comes before +1."""
-    alpha1, beta1, _, _, _ = column_bounds(spec, m + 1)
+def _moves(state: tuple[int, ...], lo: int, hi: int) -> list[tuple[int, ...]]:
+    """All +-1 steps of the walks at the increasing heights ``state`` that
+    keep them non-intersecting and inside [lo, hi], built walk by walk so
+    that only non-intersecting prefixes are extended.  Walk 0 varies slowest
+    and -1 comes before +1; an empty ``state`` has the one empty move."""
     moves = [()]
     for k, s in enumerate(state):
         moves = [mv + (v,) for mv in moves for v in (s - 1, s + 1)
-                 if v > (mv[-1] if k else alpha1 - 1)]
-    return [mv for mv in moves if mv[-1] <= beta1]
+                 if v > (mv[-1] if k else lo - 1)]
+    return [mv for mv in moves if not mv or mv[-1] <= hi]
+
+
+def _transitions(spec: HexagonSpec, m: int, state: tuple[int, ...]):
+    """All non-intersecting one-step moves from column m to m+1."""
+    alpha1, beta1, _, _, _ = column_bounds(spec, m + 1)
+    return _moves(state, alpha1, beta1)
 
 
 def _completion_counts(spec: HexagonSpec) -> list[dict[tuple[int, ...], int]]:
@@ -307,15 +325,15 @@ class _DPSampler:
         spec = self.spec
         a, b, c = spec.a, spec.b, spec.c
         state = tuple(2 * k for k in range(c))
-        rows = [[2 * k] for k in range(c)]
+        S = np.empty((c, a + b + 1), dtype=np.int64)
+        S[:, 0] = state
         for m in range(a + b):
             nxts = [s for s in _transitions(spec, m, state)
                     if s in self.layers[m + 1]]
             weights = np.array([self.layers[m + 1][s] for s in nxts], dtype=float)
             state = nxts[rng.choice(len(nxts), p=weights / weights.sum())]
-            for k in range(c):
-                rows[k].append(state[k])
-        fam = WalkFamily(spec=spec, S=tuple(tuple(r) for r in rows))
+            S[:, m + 1] = state
+        fam = WalkFamily(spec=spec, S=S)
         fam.validate()
         return fam
 
@@ -331,22 +349,19 @@ def enumerate_walks(spec: HexagonSpec) -> list[WalkFamily]:
         raise ValueError("hexagon too large to enumerate")
     a, b, c = spec.a, spec.b, spec.c
     out = []
+    S = np.empty((c, a + b + 1), dtype=np.int64)
 
-    def rec(m, state, rows):
+    def rec(m, state):
+        S[:, m] = state
         if m == a + b:
-            fam = WalkFamily(spec=spec, S=tuple(tuple(r) for r in rows))
+            fam = WalkFamily(spec=spec, S=S)
             fam.validate()
             out.append(fam)
             return
         for nxt in _transitions(spec, m, state):
-            for k in range(c):
-                rows[k].append(nxt[k])
-            rec(m + 1, nxt, rows)
-            for k in range(c):
-                rows[k].pop()
+            rec(m + 1, nxt)
 
-    start = tuple(2 * k for k in range(c))
-    rec(0, start, [[2 * k] for k in range(c)])
+    rec(0, tuple(2 * k for k in range(c)))
     return out
 
 
@@ -369,8 +384,8 @@ class LozengeChain:
         self.family().validate()
 
     def family(self) -> WalkFamily:
-        return WalkFamily(spec=self.spec, S=tuple(tuple(int(v) for v in row)
-                                                  for row in self.S))
+        """The current walks, as a family holding a copy of ``S``."""
+        return WalkFamily(spec=self.spec, S=self.S)
 
     def sweep(self, nsweeps: int = 1) -> None:
         rng, S = self.rng, self.S
@@ -389,14 +404,6 @@ class LozengeChain:
                 coin = rng.random(can_up.shape) < 0.5
                 S[:, 1:-1][sel & coin & can_up] += 2
                 S[:, 1:-1][sel & ~coin & can_dn] -= 2
-
-    def run(self, burn_in: int, samples: int, thin: int) -> list[WalkFamily]:
-        self.sweep(burn_in)
-        out = []
-        for _ in range(samples):
-            self.sweep(thin)
-            out.append(self.family())
-        return out
 
 
 def sample_hexagon(spec: HexagonSpec, rng: np.random.Generator,

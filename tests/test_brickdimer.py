@@ -182,6 +182,38 @@ def test_transfer_polynomial_matches_enumeration():
         )
 
 
+def partition_polynomial_by_sign_product(M, N):
+    """Oracle: the transfer count of partition_polynomial, stepping every
+    state by all 2^L sign vectors and filtering afterwards."""
+    heights = {0: [2 * k for k in range(N + 1)], 1: [2 * k + 1 for k in range(N)]}
+    counts = {}
+    for L in range(0, N + 1):
+        total = 0
+        for s0 in itertools.combinations(heights[0], L):
+            layer = {s0: 1}
+            for t in range(2 * M):
+                allowed = heights[(t + 1) % 2]
+                lo, hi = (allowed[0], allowed[-1]) if allowed else (0, 0)
+                nxt = {}
+                for state, cnt in layer.items():
+                    for signs in itertools.product((-1, 1), repeat=L):
+                        cand = tuple(v + d for v, d in zip(state, signs))
+                        if any(u >= v for u, v in zip(cand, cand[1:])):
+                            continue
+                        if cand and (cand[0] < lo or cand[-1] > hi):
+                            continue
+                        nxt[cand] = nxt.get(cand, 0) + cnt
+                layer = nxt
+            total += layer.get(s0, 0)
+        counts[L] = total
+    return counts
+
+
+def test_partition_polynomial_matches_sign_product():
+    for (M, N) in [(3, 4), (4, 5)]:
+        assert partition_polynomial(M, N) == partition_polynomial_by_sign_product(M, N)
+
+
 def test_free_energy_frozen_branch():
     assert abs(free_energy_limit(1.0, 0.3) - 0.0) < 1e-14
     assert abs(free_energy_limit(2.0, 0.5) - 0.5 * math.log(2.0)) < 1e-14

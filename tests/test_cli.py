@@ -1,5 +1,6 @@
 """CLI contract: determinism, formats, errors."""
 
+import hashlib
 import json
 import math
 
@@ -216,6 +217,17 @@ def test_hexagon_mcmc_replicas_are_independent_streams(tmp_path):
                 hexagon.sample_hexagon(spec, replica_rng(4, r), "mcmc", 7))
             for r in range(replicas)
         ]
+
+
+@pytest.mark.parametrize("method, digest", [
+    ("enumerate", "cfea875f0d0e8965f9243341928c344f46e5fc1fbac2a2e48cf59df6fa98a861"),
+    ("mcmc", "f3edf12a9c6711e447f5541c7fb8ff2f7955ab277bc22b2f19457183658b5ac3"),
+])
+def test_hexagon_sample_stdout_is_pinned(capsys, method, digest):
+    # how walk families are stored must not change the bytes written
+    assert run(["hexagon-sample", "--a", "4", "--b", "3", "--c", "3", "--method", method,
+                "--seed", "5", "--replicas", "4"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_hexagon_sweeps_zero_runs_burn_in_only(tmp_path):

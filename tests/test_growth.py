@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 from scipy.stats import chi2 as chi2_dist
 
-from tilings.aztec import zigzag_config
+from tilings.aztec import extract_dr_paths, zigzag_config
 from tilings.growth import (
     _bessel_tail,
     _check_bessel_tail,
@@ -25,7 +25,7 @@ from tilings.growth import (
     lpp_value,
     sample_geometric,
 )
-from tilings.shuffling import enumerate_tilings
+from tilings.shuffling import AztecMeasure, enumerate_tilings, sample_aztec
 
 
 def lpp_bruteforce(W: np.ndarray) -> int:
@@ -188,6 +188,25 @@ def test_aztec_partition_exhaustive():
         for r in range(1, 4):
             particles, _h = zigzag_config(t, r)
             assert lam[r - 1] == 3 - max(particles.positions)
+
+
+def aztec_partition_by_paths(t):
+    """Oracle: column maxima of the level-1 type-I DR path,
+    lambda_l = n - max{y : (l, y) on the path}, for l = 1..n+1."""
+    n = t.order
+    best: dict[int, int] = {}
+    for (x, y) in extract_dr_paths(t, "typeI").paths[0]:
+        best[x] = max(best.get(x, -1), y)
+    return tuple(n - best[ell] for ell in range(1, n + 2))
+
+
+def test_aztec_partition_matches_dr_path_oracle():
+    tilings = [t for n in range(1, 5) for t, _ in enumerate_tilings(n)]
+    rng = np.random.default_rng(48)
+    for n in (16, 48):
+        tilings += [sample_aztec(AztecMeasure.from_q(n, 0.5), rng) for _ in range(4)]
+    for t in tilings:
+        assert aztec_partition(t) == aztec_partition_by_paths(t)
 
 
 def test_aztec_partition_hand_case():

@@ -15,6 +15,7 @@ from tilings import ope
 from tilings.hexagon import (
     HexagonSpec,
     LozengeChain,
+    WalkFamily,
     arctic_boundary,
     column_bounds,
     column_law,
@@ -149,6 +150,35 @@ def test_transitions_match_sign_product_in_order():
                 assert _transitions(spec, m, state) == transitions_by_sign_product(spec, m, state)
 
 
+def test_walk_family_validate_rejects_broken_families():
+    spec = HexagonSpec(3, 2, 2)
+    good = enumerate_walks(spec)[7]  # S = [[0, -1, 0, 1, 0, 1], [2, 1, 2, 3, 2, 3]]
+    good.validate()
+    assert not good.S.flags.writeable
+
+    def moved(k, cols, dv):
+        S = good.S.copy()
+        S[k, cols] += dv
+        return WalkFamily(spec, S)
+
+    with pytest.raises(ValueError, match="wrong walk family shape"):
+        WalkFamily(spec, good.S[:, :-1]).validate()
+    with pytest.raises(ValueError, match="walk 2 has wrong endpoints"):
+        moved(1, 0, 2).validate()
+    with pytest.raises(ValueError, match="walk 1 takes a non-unit step at 1"):
+        moved(0, 2, 2).validate()
+    # walk 2 raised by 2 everywhere leaves the hexagon at column 0 (beta_0 = 2);
+    # a walk with the right endpoints and unit steps cannot leave it, so this
+    # is caught at the endpoints
+    above = moved(1, slice(None), 2)
+    assert above.S[1, 0] > column_bounds(spec, 0)[1]
+    with pytest.raises(ValueError, match="walk 2 has wrong endpoints"):
+        above.validate()
+    # walk 2 drops its peak at column 3 onto walk 1
+    with pytest.raises(ValueError, match="walks intersect at column 3"):
+        moved(1, 3, -2).validate()
+
+
 def test_walk_dp_counts_dense_tall_hexagons():
     # 13 and 28 walks: the DP visits only non-intersecting moves, not 2^c
     for (a, b, c) in [(3, 3, 13), (3, 2, 28)]:
@@ -266,7 +296,7 @@ def test_exact_sampler_uniform_111():
     counts = Counter()
     for _ in range(4000):
         f = sample_hexagon(HexagonSpec(1, 1, 1), rng)
-        counts[f.S] += 1
+        counts[f.S.tobytes()] += 1
     assert len(counts) == 2
     for v in counts.values():
         assert abs(v - 2000) < 4 * math.sqrt(4000 * 0.25)
@@ -287,7 +317,7 @@ def test_mcmc_uniform_222():
     counts = Counter()
     for _ in range(R):
         chain.sweep(3)
-        counts[chain.family().S] += 1
+        counts[chain.family().S.tobytes()] += 1
     assert len(counts) == 20
     chi = sum((o - R / 20) ** 2 / (R / 20) for o in counts.values())
     assert chi2_dist.sf(chi, 19) > 1e-3
