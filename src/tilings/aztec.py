@@ -17,9 +17,11 @@ is fixed so that the leftmost square of each row in the top half is white,
 which works out to: square (x, y) is white iff x + y + n is even.
 
 A :class:`Tiling` holds its dominoes as the array ``anchors``, one row
-(x, y, horizontal) per domino in sorted order; the tuple of :class:`Domino`
-objects, ``dominoes``, is built from it on first use.  Equality, hashing,
-``key()``, ``vertical_count()`` and the JSON form read the array.
+(x, y, horizontal) per domino in sorted order.  It is the one domino format:
+the readers, the DR paths, the JSON form, equality and hashing work on it,
+and per-domino results (``polar_regions``) come in the order of its rows.
+:class:`Domino` objects appear only at the API edge: the ``Tiling``
+constructor, ``Tiling.dominoes`` (built on first use) and ``classify_domino``.
 
 :meth:`Tiling.validate` returns the tiling's square grid, which the readers
 (zig-zag configurations, heights, polar regions) work on with array
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -214,9 +217,6 @@ class Tiling:
     def vertical_count(self) -> int:
         return int(np.count_nonzero(self._anchors[:, 2] == 0))
 
-    def kinds(self) -> dict[Domino, str]:
-        return {d: classify_domino(d, self._order) for d in self.dominoes}
-
     def key(self) -> tuple:
         """Hashable canonical form, for frequency counting."""
         return (self._order, self._anchors.tobytes())
@@ -245,13 +245,16 @@ class ParticleConfig:
 # DR-paths
 # ---------------------------------------------------------------------------
 
-# Marked segment on each domino kind, as ((dx1, 2*dy1), (dx2, 2*dy2)) offsets
-# from the anchor, with doubled y so endpoints stay integral.
-_SEGMENT_I = {"S": ((0, 1), (2, 1)), "W": ((0, 1), (1, 3)), "E": ((0, 3), (1, 1))}
-# Type II: N gets the horizontal mid-segment, S is unmarked, and the W/E
-# markings are interchanged relative to type I.  This is the convention under
-# which particle and hole configurations are exact complements (see tests).
-_SEGMENT_II = {"N": ((0, 1), (2, 1)), "W": ((0, 3), (1, 1)), "E": ((0, 1), (1, 3))}
+# Marked segment on each domino kind N, S, W, E: offsets (dx, 2*dy) of its
+# start and its end from the anchor (doubled y keeps them integral), zero for
+# the unmarked kind.  Segments run towards increasing CS x: leftward for type
+# I, rightward for type II.  Type II marks N, leaves S unmarked and swaps the
+# W/E markings of type I, the convention under which particle and hole
+# configurations are exact complements (see tests).
+_SEGMENTS = {
+    "typeI": np.array([[0, 0, 0, 0], [2, 1, 0, 1], [1, 3, 0, 1], [1, 1, 0, 3]]),
+    "typeII": np.array([[0, 1, 2, 1], [0, 0, 0, 0], [0, 3, 1, 1], [0, 1, 1, 3]]),
+}
 
 
 @dataclass(frozen=True)
@@ -267,89 +270,87 @@ class DRPathFamily:
     order: int
     paths: tuple[tuple[tuple[int, int], ...], ...]
 
-    def validate(self) -> None:
+    def validate(self) -> np.ndarray:
+        """Check the paths; return their steps p -> q as rows px, py, qx, qy."""
         n = self.order
         if len(self.paths) != n:
             raise ValueError(f"expected {n} paths, got {len(self.paths)}")
-        for k, path in enumerate(self.paths, start=1):
-            if path[0] != (k, 0) or path[-1] != (n + 1, n + 1 - k):
-                raise ValueError(f"path {k} has endpoints {path[0]}..{path[-1]}")
-            for p, q in zip(path, path[1:]):
-                step = (q[0] - p[0], q[1] - p[1])
-                if step not in ((1, 0), (0, 1), (1, 1)):
-                    raise ValueError(f"bad step {step} in path {k}")
-        occupied: set[tuple[int, int]] = set()
-        for path in self.paths:
-            for p in path:
-                if p in occupied:
-                    raise ValueError(f"paths intersect at {p}")
-                occupied.add(p)
+        xy = np.fromiter(chain.from_iterable(chain.from_iterable(self.paths)), int)
+        x, y = xy[0::2], xy[1::2]
+        lengths = np.array([len(p) for p in self.paths], dtype=int)
+        path = np.repeat(np.arange(n), lengths)
+        same = path[1:] == path[:-1]
+        dx, dy = np.diff(x), np.diff(y)
+        bad_step = same & ((dx | dy) != 1)  # only (1,0), (0,1), (1,1) give 1
+        k, tail = np.arange(1, n + 1), np.cumsum(lengths) - 1
+        head = tail - lengths + 1
+        bad_end = (x[head] != k) | (y[head] != 0) | (x[tail] != n + 1) | (y[tail] != n + 1 - k)
+        bad = bad_end | (np.bincount(path[1:][bad_step], minlength=n) > 0)
+        if bad.any():
+            w = int(np.argmax(bad))
+            if bad_end[w]:
+                p = self.paths[w]
+                raise ValueError(f"path {w + 1} has endpoints {p[0]}..{p[-1]}")
+            i = np.flatnonzero(bad_step & (path[1:] == w))[0]
+            raise ValueError(f"bad step {(int(dx[i]), int(dy[i]))} in path {w + 1}")
+        flat = x * (n + 2) + y  # the checks above keep points in the box 0..n+1 squared
+        shared = np.bincount(flat)[flat] > 1
+        if shared.any():
+            i = np.argmax(shared)
+            raise ValueError(f"paths intersect at {(int(x[i]), int(y[i]))}")
+        return np.stack([x[:-1], y[:-1], x[1:], y[1:]])[:, same]
 
 
-def _to_cs(x: int, y2: int, n: int, flavor: str) -> tuple[int, int]:
-    """Original point (x, y2/2) -> CS coordinates.  y2 must be odd."""
-    if flavor == "typeI":
-        # x = n+1 - xi - yi,  y = 1/2 - xi + yi
-        s = 2 * (n + 1 - x)  # 2*(xi + yi)
-        d = 1 - y2           # 2*(xi - yi)
-        xi, rem1 = divmod(s + d, 4)
-        yi, rem2 = divmod(s - d, 4)
-    else:
-        # x = -n-1 + xi + yi,  y = -1/2 + xi - yi
-        s = 2 * (x + n + 1)
-        d = y2 + 1
-        xi, rem1 = divmod(s + d, 4)
-        yi, rem2 = divmod(s - d, 4)
-    if rem1 or rem2:
-        raise GeometryError(f"point ({x}, {y2}/2) is not a CS lattice point")
-    return (xi, yi)
+def _to_cs(x, y2, n: int, flavor: str):
+    """Original point (x, y2/2), y2 odd -> CS coordinates (elementwise)."""
+    # type I: x = n+1 - xi - yi, y = 1/2 - xi + yi; type II: x = -n-1 + xi + yi,
+    # y = -1/2 + xi - yi.  s = 2*(xi + yi) and d = 2*(xi - yi).
+    sign = -1 if flavor == "typeI" else 1
+    s, d = 2 * (n + 1 + sign * x), sign * y2 + 1
+    (xi, rem1), (yi, rem2) = np.divmod(s + d, 4), np.divmod(s - d, 4)
+    bad = (rem1 != 0) | (rem2 != 0)
+    if np.any(bad):
+        i = np.argmax(bad)
+        raise GeometryError(f"point ({np.ravel(x)[i]}, {np.ravel(y2)[i]}/2) "
+                            "is not a CS lattice point")
+    return xi, yi
 
 
-def _from_cs(xi: int, yi: int, n: int, flavor: str) -> tuple[int, int]:
-    """CS point -> (x, doubled y) in the original frame."""
-    if flavor == "typeI":
-        return (n + 1 - xi - yi, 1 - 2 * xi + 2 * yi)
-    return (-n - 1 + xi + yi, -1 + 2 * xi - 2 * yi)
+def _from_cs(xi, yi, n: int, flavor: str):
+    """CS point -> (x, doubled y) in the original frame (elementwise)."""
+    sign = 1 if flavor == "typeI" else -1
+    return sign * (n + 1 - xi - yi), sign * (1 - 2 * xi + 2 * yi)
 
 
 def extract_dr_paths(t: Tiling, flavor: str = "typeI") -> DRPathFamily:
-    """Read the family of n non-intersecting DR-paths off a tiling."""
-    if flavor not in ("typeI", "typeII"):
+    """Read the family of n non-intersecting DR-paths off a tiling.
+
+    Every marked segment is one path step p -> q.  A path takes its steps in
+    increasing (CS x, CS y) order and crosses column CS x = c in one
+    upward run; the runs of paths 1, 2, ... come down each column in that
+    order, and a run ends at a point that takes no (0, 1) step."""
+    if flavor not in _SEGMENTS:
         raise ValueError(f"unknown flavor {flavor!r}")
     t.validate()
     n = t.order
-    table = [(_SEGMENT_I if flavor == "typeI" else _SEGMENT_II).get(k) for k in _KINDS]
     x, y, h = t.anchors.T
-
-    # Segments keyed by their start point, oriented in the direction of
-    # increasing CS x (rightward for type II, leftward for type I in the
-    # original frame).
-    nxt: dict[tuple[int, int], tuple[int, int]] = {}
-    for ax, ay, kind in zip(x.tolist(), y.tolist(), _kind(x, y, h, n).tolist()):
-        seg = table[kind]
-        if seg is None:
-            continue
-        (dx1, dy1), (dx2, dy2) = seg
-        p1 = (ax + dx1, 2 * ay + dy1)
-        p2 = (ax + dx2, 2 * ay + dy2)
-        if flavor == "typeI":
-            p1, p2 = p2, p1  # traverse right-to-left
-        nxt[p1] = p2
-
-    paths = []
-    for k in range(1, n + 1):
-        cur = _from_cs(k, 0, n, flavor)
-        goal = _from_cs(n + 1, n + 1 - k, n, flavor)
-        pts = [cur]
-        while cur != goal:
-            if cur not in nxt:
-                raise TilingError(f"path {k} ({flavor}) breaks at {cur}")
-            cur = nxt.pop(cur)
-            pts.append(cur)
-        paths.append(tuple(_to_cs(x, y2, n, flavor) for (x, y2) in pts))
-    if nxt:
-        raise TilingError(f"{len(nxt)} marked segments not used by any path")
-    fam = DRPathFamily(flavor=flavor, order=n, paths=tuple(paths))
+    seg = _SEGMENTS[flavor][_kind(x, y, h, n)]
+    marked = seg.any(axis=1)
+    x, y2, seg = x[marked], 2 * y[marked], seg[marked]
+    px, py = _to_cs(x + seg[:, 0], y2 + seg[:, 1], n, flavor)
+    qx, qy = _to_cs(x + seg[:, 2], y2 + seg[:, 3], n, flavor)
+    rises = np.zeros((n + 2, n + 2), dtype=bool)
+    rises[px[px == qx], py[px == qx]] = True  # the (0, 1) steps
+    X, Y = np.r_[1:n + 1, qx], np.r_[np.zeros(n, int), qy]  # path starts, step ends
+    top_down = np.lexsort((-Y, X))
+    X, Y = X[top_down], Y[top_down]
+    runs = np.cumsum(~rises[X, Y])
+    path = runs - runs[np.searchsorted(X, X)]
+    order = np.lexsort((Y, X, path))
+    P = list(zip(X[order].tolist(), Y[order].tolist()))
+    ends = np.cumsum(np.bincount(path, minlength=n)).tolist()
+    paths = tuple(tuple(P[i:j]) for i, j in zip([0] + ends, ends))
+    fam = DRPathFamily(flavor=flavor, order=n, paths=paths)
     fam.validate()
     return fam
 
@@ -359,15 +360,13 @@ def dr_paths_to_tiling(family: DRPathFamily) -> Tiling:
     path step, then cover each square of A_n that is left uncovered and has
     the anchor colour with a horizontal domino of the unmarked kind (N for
     type I, S for type II).  Raises TilingError if that does not tile."""
-    family.validate()
+    px, py, qx, qy = family.validate()
     n, flavor = family.order, family.flavor
-    p = np.array([v for path in family.paths for v in path[:-1]])
-    q = np.array([v for path in family.paths for v in path[1:]])
     # the left end of a step in the original frame (type I runs right to left)
     # is the midpoint of the left side of its marked domino's anchor square, or
     # of the square above it for a (0, 1) step; (1, 1) steps mark horizontals
-    x, y2 = _from_cs(*(q if flavor == "typeI" else p).T, n, flavor)
-    dx, dy = (q - p).T
+    x, y2 = _from_cs(qx, qy, n, flavor) if flavor == "typeI" else _from_cs(px, py, n, flavor)
+    dx, dy = qx - px, qy - py
     marked = np.column_stack([x, (y2 - 1) // 2 - (dx == 0), dx * dy])
     mx, my, mh = marked.T
     covered = np.zeros((2 * n + 2, 2 * n + 2), dtype=bool)
@@ -504,8 +503,9 @@ def height_from_particles(n: int, r: int, k: int, particles: ParticleConfig) -> 
 _REGIONS = ("north", "south", "west", "east", "temperate")
 
 
-def polar_regions(t: Tiling) -> dict[Domino, str]:
-    """Label every domino north/south/west/east/temperate.
+def polar_regions(t: Tiling) -> tuple[str, ...]:
+    """Label every domino north/south/west/east/temperate, in the order of
+    the rows of ``t.anchors``.
 
     The north region is the set of N-dominoes connected to the boundary
     through chains of edge-adjacent N-dominoes; similarly for S/W/E.  Each
@@ -523,7 +523,7 @@ def polar_regions(t: Tiling) -> dict[Domino, str]:
         comp, _ = ndimage.label(kind == code)
         polar = np.isin(comp, comp[(kind == code) & rim])
         region[grid[polar]] = code
-    return {d: _REGIONS[c] for d, c in zip(t.dominoes, region.tolist())}
+    return tuple(map(_REGIONS.__getitem__, region.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -531,23 +531,30 @@ def polar_regions(t: Tiling) -> dict[Domino, str]:
 # ---------------------------------------------------------------------------
 
 
+_ORIENTATIONS = ("vertical", "horizontal")
+
+
 def tiling_to_json(t: Tiling) -> str:
-    """JSON with order and anchored dominoes; kinds are derived, not stored."""
-    return json.dumps(
-        {
-            "order": t.order,
-            "dominoes": [
-                {"x": x, "y": y, "orientation": "horizontal" if h else "vertical"}
-                for x, y, h in t.anchors.tolist()
-            ],
-        },
-        sort_keys=True,
-    )
+    """JSON with order and anchored dominoes; kinds are derived, not stored.
+    The text is that of ``json.dumps`` with sorted keys."""
+    rows = ", ".join(f'{{"orientation": "{_ORIENTATIONS[h]}", "x": {x}, "y": {y}}}'
+                     for x, y, h in t.anchors.tolist())
+    return f'{{"dominoes": [{rows}], "order": {t.order}}}'
 
 
 def tiling_from_json(s: str) -> Tiling:
+    """Parse :func:`tiling_to_json` output.  Raises TilingError on a non-integer
+    or negative order, a non-integer anchor, an unknown orientation or a non-tiling."""
     obj = json.loads(s)
-    rows = ((d["x"], d["y"], d["orientation"] == "horizontal") for d in obj["dominoes"])
-    t = Tiling._from_anchors(obj["order"], _anchor_array(rows))
+    n, dominoes = obj["order"], obj["dominoes"]
+    x, y, orientation = (tuple(d[k] for d in dominoes) for k in ("x", "y", "orientation"))
+    if type(n) is not int or n < 0:
+        raise TilingError(f"order {n!r} is not a nonnegative integer")
+    if {type(v) for v in x + y} - {int} or max(map(abs, x + y), default=0) > n + 1:
+        raise TilingError(f"domino anchors must be integers in A_{n}'s box")
+    if set(orientation) - set(_ORIENTATIONS):
+        raise TilingError(f"orientations must be {' or '.join(_ORIENTATIONS)}")
+    h = [o == "horizontal" for o in orientation]
+    t = Tiling._from_anchors(n, _anchor_array(np.array([x, y, h], dtype=_ANCHOR_DTYPE).T))
     t.validate()
     return t

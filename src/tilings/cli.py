@@ -87,8 +87,7 @@ def _cmd_aztec_sample(cfg: ExperimentConfig) -> int:
     n, q = int(cfg.params["n"]), float(cfg.params["q"])
     measure = shuffling.AztecMeasure.from_q(n, q)
     results = _map_replicas(cfg, lambda r, rng: shuffling.sample_aztec(measure, rng))
-    payload = [json.loads(aztec.tiling_to_json(t)) for t in results]
-    text = json.dumps({"tilings": payload}, sort_keys=True)
+    text = '{"tilings": [' + ", ".join(map(aztec.tiling_to_json, results)) + "]}"
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text + "\n")

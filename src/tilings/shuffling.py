@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aztec import _ANCHOR_DTYPE, Domino, Tiling, diamond_squares
+from .aztec import _ANCHOR_DTYPE, Tiling, _anchor_array, diamond_squares
 
 __all__ = [
     "AztecMeasure",
@@ -173,7 +173,7 @@ def enumerate_tilings(n: int, w: Fraction | int = 1) -> list[tuple[Tiling, Fract
     index = {sq: i for i, sq in enumerate(squares)}
     total = len(squares)
     out: list[tuple[Tiling, Fraction]] = []
-    dominoes: list[Domino] = []
+    rows: list[tuple[int, int, int]] = []  # anchor rows (x, y, horizontal)
     covered = [False] * total
 
     def backtrack(start: int, verticals: int) -> None:
@@ -181,23 +181,17 @@ def enumerate_tilings(n: int, w: Fraction | int = 1) -> list[tuple[Tiling, Fract
         while i < total and covered[i]:
             i += 1
         if i == total:
-            out.append((Tiling(order=n, dominoes=tuple(dominoes)), w**verticals))
+            out.append((Tiling._from_anchors(n, _anchor_array(rows)), w**verticals))
             return
         x, y = squares[i]
-        right = index.get((x + 1, y))
-        if right is not None and not covered[right]:
-            covered[i] = covered[right] = True
-            dominoes.append(Domino(x, y, True))
-            backtrack(i + 1, verticals)
-            dominoes.pop()
-            covered[i] = covered[right] = False
-        up = index.get((x, y + 1))
-        if up is not None and not covered[up]:
-            covered[i] = covered[up] = True
-            dominoes.append(Domino(x, y, False))
-            backtrack(i + 1, verticals + 1)
-            dominoes.pop()
-            covered[i] = covered[up] = False
+        for horizontal, partner in ((1, (x + 1, y)), (0, (x, y + 1))):
+            j = index.get(partner)
+            if j is not None and not covered[j]:
+                covered[i] = covered[j] = True
+                rows.append((x, y, horizontal))
+                backtrack(i + 1, verticals + 1 - horizontal)
+                rows.pop()
+                covered[i] = covered[j] = False
 
     backtrack(0, 0)
     return out

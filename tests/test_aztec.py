@@ -2,16 +2,19 @@
 heights and polar regions, cross-checked exhaustively on small diamonds."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tilings.aztec import (
+    DRPathFamily,
     Domino,
     GeometryError,
     Tiling,
     TilingError,
+    _from_cs,
     classify_domino,
     diamond_squares,
     dr_paths_to_tiling,
@@ -57,6 +60,52 @@ def zigzag_from_paths(t, r):
         for path in extract_dr_paths(t, "typeII").paths[: n + 1 - r]
     )
     return tuple(particles), tuple(holes)
+
+
+# Oracle: DR paths followed one segment at a time through a dict.  Marked
+# segment on each domino kind, as ((dx1, 2*dy1), (dx2, 2*dy2)) offsets from
+# the anchor; type II marks N, leaves S unmarked and swaps the W/E markings.
+_SEGMENT_I = {"S": ((0, 1), (2, 1)), "W": ((0, 1), (1, 3)), "E": ((0, 3), (1, 1))}
+_SEGMENT_II = {"N": ((0, 1), (2, 1)), "W": ((0, 3), (1, 1)), "E": ((0, 1), (1, 3))}
+
+
+def to_cs_scalar(x, y2, n, flavor):
+    """Original point (x, y2/2) -> CS coordinates, one point at a time."""
+    if flavor == "typeI":
+        s, d = 2 * (n + 1 - x), 1 - y2
+    else:
+        s, d = 2 * (x + n + 1), y2 + 1
+    (xi, rem1), (yi, rem2) = divmod(s + d, 4), divmod(s - d, 4)
+    assert rem1 == rem2 == 0
+    return (xi, yi)
+
+
+def dr_paths_by_dict(t, flavor):
+    """Oracle: the DR paths as tuples of CS points, walked through a dict
+    from each path's start, segment by segment."""
+    n = t.order
+    table = _SEGMENT_I if flavor == "typeI" else _SEGMENT_II
+    nxt = {}
+    for d in t.dominoes:
+        seg = table.get(classify_domino(d, n))
+        if seg is None:
+            continue
+        (dx1, dy1), (dx2, dy2) = seg
+        p1, p2 = (d.x + dx1, 2 * d.y + dy1), (d.x + dx2, 2 * d.y + dy2)
+        if flavor == "typeI":
+            p1, p2 = p2, p1  # traverse right-to-left
+        nxt[p1] = p2
+    paths = []
+    for k in range(1, n + 1):
+        cur = _from_cs(k, 0, n, flavor)
+        goal = _from_cs(n + 1, n + 1 - k, n, flavor)
+        pts = [cur]
+        while cur != goal:
+            cur = nxt.pop(cur)
+            pts.append(cur)
+        paths.append(tuple(to_cs_scalar(x, y2, n, flavor) for (x, y2) in pts))
+    assert not nxt, "marked segments not used by any path"
+    return tuple(paths)
 
 
 def test_diamond_square_count():
@@ -112,6 +161,44 @@ def test_path_round_trip_exhaustive(flavor):
             fam = extract_dr_paths(t, flavor)
             fam.validate()  # includes non-intersection
             assert dr_paths_to_tiling(fam).key() == t.key()
+
+
+def test_dr_paths_match_dict_oracle():
+    tilings = [t for n in range(1, 5) for t in all_tilings(n)]
+    rng = np.random.default_rng(48)
+    for n in (16, 48):
+        tilings += [sample_aztec(AztecMeasure.from_q(n, 0.5), rng) for _ in range(2)]
+    for t in tilings:
+        for flavor in ("typeI", "typeII"):
+            fam = extract_dr_paths(t, flavor)
+            assert fam.paths == dr_paths_by_dict(t, flavor)
+            assert dr_paths_to_tiling(fam) == t
+
+
+def test_dr_path_family_validate_rejects_broken_families():
+    t = sample_aztec(AztecMeasure.from_q(5, 0.5), np.random.default_rng(3))
+    paths = [list(p) for p in extract_dr_paths(t, "typeI").paths]
+
+    def broken(k, i, point):
+        new = [list(p) for p in paths]
+        new[k][i] = point
+        return DRPathFamily("typeI", 5, tuple(map(tuple, new)))
+
+    with pytest.raises(ValueError, match="expected 5 paths, got 4"):
+        DRPathFamily("typeI", 5, tuple(map(tuple, paths[:4]))).validate()
+    with pytest.raises(ValueError, match=r"path 3 has endpoints \(9, 9\)"):
+        broken(2, 0, (9, 9)).validate()
+    with pytest.raises(ValueError, match=r"path 2 has endpoints \(2, 0\)..\(9, 9\)"):
+        broken(1, -1, (9, 9)).validate()
+    x, y = paths[3][0]
+    with pytest.raises(ValueError, match=r"bad step \(2, 0\) in path 4"):
+        broken(3, 1, (x + 2, y)).validate()
+    with pytest.raises(ValueError, match=r"bad step \(0, 0\) in path 1"):
+        DRPathFamily("typeI", 5, (paths[0][:1] + paths[0],) + tuple(paths[1:])).validate()
+    # two paths of A_2 with the right ends and steps that share (2, 1)
+    crossing = (((1, 0), (2, 1), (3, 2)), ((2, 0), (2, 1), (3, 1)))
+    with pytest.raises(ValueError, match=r"paths intersect at \(2, 1\)"):
+        DRPathFamily("typeI", 2, crossing).validate()
 
 
 def test_n1_vertical_tiling_paths():
@@ -206,7 +293,7 @@ def height_by_search(t):
 def polar_by_search(t):
     """Oracle: polar regions grown domino by domino from the boundary."""
     n = t.order
-    kinds = t.kinds()
+    kinds = {d: classify_domino(d, n) for d in t.dominoes}
     owner = {sq: d for d in t.dominoes for sq in d.squares()}
     steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -238,7 +325,9 @@ def test_grid_readers_match_search_oracles():
                     if not np.ma.is_masked(hf.heights[y + n + 1, x + n + 1])}
         assert vertices == set(oracle)
         assert all(hf.at(x, y) == h for (x, y), h in oracle.items())
-        assert polar_regions(t) == polar_by_search(t)
+        labels = polar_regions(t)
+        assert len(labels) == len(t.anchors)
+        assert dict(zip(t.dominoes, labels)) == polar_by_search(t)
     with pytest.raises(GeometryError):
         hf.at(n + 1, 0)  # a tip of the diamond is no corner of a square
 
@@ -258,24 +347,22 @@ def test_height_from_particles_conventions():
 def test_polar_regions_n1():
     horizontal = Tiling(order=1, dominoes=(Domino(-1, -1, True), Domino(-1, 0, True)))
     labels = polar_regions(horizontal)
-    assert sorted(labels.values()) == ["north", "south"]
+    assert labels == ("south", "north")  # rows (-1, -1, 1) and (-1, 0, 1)
     vertical = Tiling(order=1, dominoes=(Domino(-1, -1, False), Domino(0, -1, False)))
     labels = polar_regions(vertical)
-    assert sorted(labels.values()) == ["east", "west"]
+    assert labels == ("west", "east")  # rows (-1, -1, 0) and (0, -1, 0)
 
 
 def test_north_region_is_above_level1_path():
     # the north region must consist of N-dominoes and match the set of
     # dominoes lying entirely above the level-1 type-I path
     for t in all_tilings(3) + [sampled_16()]:
-        labels = polar_regions(t)
-        kinds = t.kinds()
+        labels = dict(zip(t.dominoes, polar_regions(t)))
+        kinds = {d: classify_domino(d, t.order) for d in t.dominoes}
         north = {d for d, lab in labels.items() if lab == "north"}
         assert all(kinds[d] == "N" for d in north)
         fam = extract_dr_paths(t, "typeI")
         # level-1 path in original coordinates: x -> max path height
-        from tilings.aztec import _from_cs
-
         pts = [_from_cs(xi, yi, t.order, "typeI") for (xi, yi) in fam.paths[0]]
         ys_at = {}
         for (x, y2) in pts:
@@ -343,3 +430,28 @@ def test_json_round_trip():
 def test_json_has_no_kind_field():
     t = all_tilings(1)[0]
     assert '"kind"' not in tiling_to_json(t)
+
+
+def vertical_a1():
+    return next(t for t in all_tilings(1) if t.vertical_count() == 2)
+
+
+def test_json_parses_other_key_order_and_whitespace():
+    t = vertical_a1()
+    obj = json.loads(tiling_to_json(t))
+    obj = {"order": obj["order"],
+           "dominoes": [dict(reversed(d.items())) for d in obj["dominoes"]]}
+    assert tiling_from_json(json.dumps(obj, indent=3)) == t
+
+
+@pytest.mark.parametrize("field, value", [
+    ("orientation", "sideways"), ("orientation", "vertcal"), ("x", -1.5), ("x", "-1"),
+    ("y", True), ("order", 1.0), ("order", True),
+])
+def test_json_rejects_malformed_records(field, value):
+    # one edited field of the vertical tiling of A_1 (first domino (-1, -1))
+    # must raise TilingError, not read back as a tiling or raise another error
+    obj = json.loads(tiling_to_json(vertical_a1()))
+    (obj if field == "order" else obj["dominoes"][0])[field] = value
+    with pytest.raises(TilingError):
+        tiling_from_json(json.dumps(obj))

@@ -230,6 +230,30 @@ def test_hexagon_sample_stdout_is_pinned(capsys, method, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_aztec_sample_stdout_is_pinned(capsys):
+    # the tilings are written as the joined tiling_to_json strings, with the
+    # bytes that json.dumps of the parsed tilings gave
+    assert run(["aztec-sample", "--n", "4", "--q", "0.5", "--seed", "7",
+                "--replicas", "3"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "2f42de4f35b91ba3f75885b600aaaa8977ebdada8955af0d8cdd3e0d60d848c9"
+
+
+def test_aztec_stats_csv_is_pinned(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["aztec-stats", "--n", "12", "--q", "0.4", "--r", "5", "--seed", "7",
+                "--replicas", "4", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "89fbc1dda872ebb58cbba29f0b74e1ed0aeee6c49ac8899ceaf967a18e53ae18"
+
+
+def test_hexagon_negative_sweeps_is_invalid_input(capsys):
+    assert run(["hexagon-sample", "--a", "3", "--b", "2", "--c", "2", "--method", "mcmc",
+                "--sweeps", "-3", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: invalid-input: sweeps")
+
+
 def test_hexagon_sweeps_zero_runs_burn_in_only(tmp_path):
     # --sweeps 0 adds no sweeps after the burn-in; it is not the default 10
     files = {}

@@ -308,6 +308,12 @@ def test_exact_sampler_refuses_large():
         sample_hexagon(HexagonSpec(40, 40, 40), rng)
 
 
+def test_sample_hexagon_rejects_negative_sweeps():
+    # range(-3) is empty, so -3 would otherwise run as 0 sweeps
+    with pytest.raises(ValueError, match="sweeps must be nonnegative"):
+        sample_hexagon(HexagonSpec(3, 2, 2), np.random.default_rng(0), "mcmc", -3)
+
+
 def test_mcmc_uniform_222():
     rng = np.random.default_rng(3)
     spec = HexagonSpec(2, 2, 2)
