@@ -58,13 +58,14 @@ def lpp_value(W: np.ndarray) -> np.ndarray:
     """Full last-passage table G[..., i, j] (1-based cells stored 0-based).
 
     The last two axes of W are the M x N lattice; any leading axes index
-    independent weight matrices, which are swept together.  64-bit
-    throughout; overflow is impossible at any realistic size but is
+    independent weight matrices, which are swept together.  The weights
+    must be nonnegative integers; a float array is rejected, not truncated.
+    64-bit throughout; overflow is impossible at any realistic size but is
     asserted anyway.
     """
     W = np.asarray(W)
-    if W.ndim < 2 or (W < 0).any():
-        raise ValueError("weight matrix must be at least 2-d and nonnegative")
+    if W.ndim < 2 or not np.issubdtype(W.dtype, np.integer) or (W < 0).any():
+        raise ValueError("weight matrix must be at least 2-d, integer and nonnegative")
     *lead, M, N = W.shape
     G = np.zeros((*lead, M + 1, N + 1), dtype=np.int64)
     for d in range(2, M + N + 1):

@@ -1,21 +1,33 @@
-"""Cascade of polynuclear-type growth levels equivalent to RSK.
+"""The growth cascade, equivalent to RSK, computed as a growth diagram.
 
-An n x n nonnegative integer matrix drives n stacked height curves.  At time
-t, w(i, j) labelled unit squares (left side a_i, right side b_j, where
-i = (t+x+1)/2, j = (t-x+1)/2) drop onto level 1 at position x = i - j.  Each
-time step, per level: every left vertical side moves one unit left and every
-right side one unit right; where a right side crosses a left side the
-overlapping label pairs annihilate and reappear as squares on the next level
-down.   The distance between a left and a right side is always odd, so sides
-never collide, and the level curves never touch.
+An n x n nonnegative integer matrix W drives n stacked height curves.  At
+time t, w(i, j) labelled unit squares (left side a_i, right side b_j) drop
+onto level 1 at x = i - j, where i = (t+x+1)/2, j = (t-x+1)/2; where the
+sides of a level cross, the label pairs annihilate and reappear as squares on
+the next level down.  The state of this cascade is a table of partitions:
+with S[i][j] the RSK shape of the corner W[:i, :j], written with n parts,
+level k has height
 
-After 2n-1 steps the curve heights at the origin give the partition
-lambda_j = h_j(0) + j - 1; the left (right) vertical sides have migrated to
-the fixed positions x = 2(j-n) - 1/2 (x = 2(n-k) + 1/2) carrying the a_j
-(b_k) labels, i.e. the final state is a pair of non-intersecting labelled
-up/right path families -- a pair of semistandard tableaux.  The growth is a
-bijection: the reverse sweep (sides move back, width-one peaks pop their
-squares up a level) reconstructs the matrix exactly.
+    h_k(x, t) = S[i][j]_k - (k - 1),  i = (t+x+1)//2, j = (t-x+1)//2,
+
+with i and j clamped to 0..n.  The table fills cell by cell by Fomin's local
+rule (Fomin, J. Algebraic Combin. 4, 1995; Krattenthaler, Adv. Appl. Math.
+37, 2006).  With mu = S[i-1][j], nu = S[i][j-1] and rho = S[i-1][j-1],
+
+    S[i][j]_1 = max(mu_1, nu_1) + w(i, j),
+    S[i][j]_k = max(mu_k, nu_k) + min(mu_{k-1}, nu_{k-1}) - rho_{k-1},  k >= 2,
+
+and, writing lambda = S[i][j], the rule inverts as
+
+    rho_k = max(mu_{k+1}, nu_{k+1}) + min(mu_k, nu_k) - lambda_{k+1},
+    w(i, j) = lambda_1 - max(mu_1, nu_1).
+
+After 2n-1 steps the heights at the origin give the partition S[n][n], and
+the labelled sides form a pair of semistandard tableaux read off the boundary
+chains: row k of the left tableau holds S[i][n]_k - S[i-1][n]_k labels a_i,
+and the right tableau reads the same way off S[n][j] with labels b_j.  Level 1
+is the last-passage table, h_1 = G.  The growth is a bijection: peeling the
+cells from the two boundary chains by the inverse rule rebuilds W exactly.
 
 Schur polynomials come from the Jacobi-Trudi determinant of complete
 homogeneous symmetric polynomials, with an exact-rational mode.
@@ -25,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +46,6 @@ from .growth import lpp_value
 
 __all__ = [
     "InvalidCascadeError",
-    "Cascade",
     "CascadeResult",
     "cascade_grow",
     "cascade_invert",
@@ -51,231 +62,51 @@ class InvalidCascadeError(ValueError):
     """A labelled configuration that is not in the image of the growth map."""
 
 
-@dataclass
-class _Side:
-    """A vertical run of labelled unit sides at half-integer position pos2/2.
-
-    kind 'L' for up-steps (a-labels), 'R' for down-steps (b-labels); labels
-    are stored bottom-up.
-    """
-
-    pos2: int
-    kind: str
-    labels: list[int] = field(default_factory=list)
-
-
-class _Level:
-    """One height curve: sparse list of sides, flat baseline at -(k-1)."""
-
-    def __init__(self, base: int):
-        self.base = base
-        self.sides: dict[int, _Side] = {}
-
-    def sorted_sides(self) -> list[_Side]:
-        return [self.sides[p] for p in sorted(self.sides)]
-
-    def height(self, x: int) -> int:
-        """Height of the curve on the plateau containing site x."""
-        h = self.base
-        for s in self.sorted_sides():
-            if s.pos2 > 2 * x:
-                break
-            h += len(s.labels) if s.kind == "L" else -len(s.labels)
-        return h
-
-    def check_alternation(self) -> None:
-        sides = self.sorted_sides()
-        for s, t in zip(sides, sides[1:]):
-            if s.kind == t.kind:
-                continue
-            if (t.pos2 - s.pos2) % 4 != 2:
-                raise AssertionError(
-                    f"even gap between {s.kind}@{s.pos2/2} and {t.kind}@{t.pos2/2}"
-                )
-        up = sum(len(s.labels) for s in sides if s.kind == "L")
-        dn = sum(len(s.labels) for s in sides if s.kind == "R")
-        if up != dn:
-            raise AssertionError("curve does not return to its baseline")
-
-    def add_column(self, x: int, squares: list[tuple[int, int]]) -> None:
-        """Stack labelled squares on top of the column at site x."""
-        if not squares:
-            return
-        lf = self.sides.setdefault(2 * x - 1, _Side(2 * x - 1, "L"))
-        rt = self.sides.setdefault(2 * x + 1, _Side(2 * x + 1, "R"))
-        if lf.kind != "L" or rt.kind != "R":
-            raise AssertionError(f"side type clash while stacking at x={x}")
-        lf.labels.extend(a for (a, _b) in squares)
-        rt.labels.extend(b for (_a, b) in squares)
-
-
-@dataclass
-class Cascade:
-    """The full stack of labelled curves, evolvable forward and backward."""
-
-    n: int
-    levels: list[_Level]
-    time: int = 0
-
-    @classmethod
-    def initial(cls, n: int) -> "Cascade":
-        return cls(n=n, levels=[_Level(-(k - 1)) for k in range(1, n + 1)])
-
-    # -- forward ----------------------------------------------------------
-
-    def _h_move(self, level: _Level) -> dict[int, list[tuple[int, int]]]:
-        """Move sides outward; crossings annihilate bottom labels pairwise
-        and emit squares for the next level, keyed by site."""
-        emitted: dict[int, list[tuple[int, int]]] = {}
-        sides = level.sorted_sides()
-        new: dict[int, _Side] = {}
-        i = 0
-        while i < len(sides):
-            s = sides[i]
-            nxt = sides[i + 1] if i + 1 < len(sides) else None
-            if (
-                s.kind == "R"
-                and nxt is not None
-                and nxt.kind == "L"
-                and nxt.pos2 - s.pos2 == 2
-            ):
-                # the pair swaps order; overlapping bottom labels annihilate
-                x = (s.pos2 + 1) // 2
-                z = min(len(s.labels), len(nxt.labels))
-                emitted[x] = [(nxt.labels[j], s.labels[j]) for j in range(z)]
-                rest_r = s.labels[z:]
-                rest_l = nxt.labels[z:]
-                if rest_l:
-                    new[s.pos2] = _Side(s.pos2, "L", rest_l)
-                if rest_r:
-                    new[nxt.pos2] = _Side(nxt.pos2, "R", rest_r)
-                i += 2
-                continue
-            p = s.pos2 - 2 if s.kind == "L" else s.pos2 + 2
-            if p in new:
-                raise AssertionError("side collision during horizontal growth")
-            new[p] = _Side(p, s.kind, s.labels)
-            i += 1
-        level.sides = new
-        return emitted
-
-    def forward_step(self, deposits: dict[int, list[tuple[int, int]]]) -> None:
-        """One time step; ``deposits`` holds the level-1 squares keyed by
-        site x, each square a pair (a-index, b-index)."""
-        self.time += 1
-        incoming = deposits
-        for lev in self.levels:
-            emitted = self._h_move(lev)
-            for x, squares in incoming.items():
-                lev.add_column(x, squares)
-            incoming = emitted
-        if incoming:
-            raise AssertionError(
-                f"level-{self.n} crossings emitted squares at t={self.time}"
-            )
-
-    # -- backward ---------------------------------------------------------
-
-    def _h_unmove(self, level: _Level) -> dict[int, list[tuple[int, int]]]:
-        """Reverse move: width-one peaks pop their top label pairs (the
-        squares that vertical growth stacked), everything else slides back."""
-        popped: dict[int, list[tuple[int, int]]] = {}
-        sides = level.sorted_sides()
-        new: dict[int, _Side] = {}
-        i = 0
-        while i < len(sides):
-            s = sides[i]
-            nxt = sides[i + 1] if i + 1 < len(sides) else None
-            if (
-                s.kind == "L"
-                and nxt is not None
-                and nxt.kind == "R"
-                and nxt.pos2 - s.pos2 == 2
-            ):
-                x = (s.pos2 + 1) // 2
-                z = min(len(s.labels), len(nxt.labels))
-                popped[x] = [
-                    (s.labels[len(s.labels) - z + j], nxt.labels[len(nxt.labels) - z + j])
-                    for j in range(z)
-                ]
-                rest_l = s.labels[: len(s.labels) - z]
-                rest_r = nxt.labels[: len(nxt.labels) - z]
-                if rest_l:
-                    new[nxt.pos2] = _Side(nxt.pos2, "L", rest_l)
-                if rest_r:
-                    new[s.pos2] = _Side(s.pos2, "R", rest_r)
-                i += 2
-                continue
-            p = s.pos2 + 2 if s.kind == "L" else s.pos2 - 2
-            if p in new:
-                raise AssertionError("side collision during reverse growth")
-            new[p] = _Side(p, s.kind, s.labels)
-            i += 1
-        level.sides = new
-        return popped
-
-    def _reinsert(self, level: _Level, x: int, squares: list[tuple[int, int]]) -> None:
-        """Restore annihilated label pairs at the bottom of the sides around
-        site x (undoing a forward crossing)."""
-        rt = level.sides.setdefault(2 * x - 1, _Side(2 * x - 1, "R"))
-        lf = level.sides.setdefault(2 * x + 1, _Side(2 * x + 1, "L"))
-        if rt.kind != "R" or lf.kind != "L":
-            raise InvalidCascadeError(f"cannot restore a crossing at x={x}")
-        rt.labels[:0] = [b for (_a, b) in squares]
-        lf.labels[:0] = [a for (a, _b) in squares]
-
-    def backward_step(self) -> dict[int, list[tuple[int, int]]]:
-        """One reverse time step; returns the level-1 squares taken out."""
-        restore: dict[int, list[tuple[int, int]]] = {}
-        out: dict[int, list[tuple[int, int]]] = {}
-        for lev in reversed(self.levels):
-            popped = self._h_unmove(lev)
-            for x, squares in restore.items():
-                self._reinsert(lev, x, squares)
-            restore = popped
-        out = restore
-        self.time -= 1
-        return out
-
-    # -- invariants and extraction ----------------------------------------
-
-    def check_invariants(self, span: int | None = None) -> None:
-        for lev in self.levels:
-            lev.check_alternation()
-        span = span or (2 * self.n + 2)
-        for upper, lower in zip(self.levels, self.levels[1:]):
-            for x in range(-span, span + 1):
-                if upper.height(x) < lower.height(x) + 1:
-                    raise AssertionError(
-                        f"levels touch at x={x}, t={self.time}"
-                    )
-
-    def heights_at_origin(self) -> list[int]:
-        return [lev.height(0) for lev in self.levels]
-
-    def partition(self) -> tuple[int, ...]:
-        lam = tuple(h + j for j, h in enumerate(self.heights_at_origin()))
-        if any(a < b for a, b in zip(lam, lam[1:])) or (lam and lam[-1] < 0):
-            raise InvalidCascadeError(f"origin heights do not give a partition: {lam}")
-        return lam
-
-
-def _deposits_at(W: np.ndarray, t: int) -> dict[int, list[tuple[int, int]]]:
-    n = W.shape[0]
-    out: dict[int, list[tuple[int, int]]] = {}
+def _grow(W: list[list[int]], n: int) -> list[list[list[int]]]:
+    """The shape table S[i][j], 0 <= i, j <= n, by the forward local rule."""
+    zero = [0] * n
+    S = [[zero] * (n + 1)]
     for i in range(1, n + 1):
-        j = t + 1 - i
-        if not 1 <= j <= n:
-            continue
-        m = int(W[i - 1, j - 1])
-        if m:
-            out[i - j] = [(i, j)] * m
-    return out
+        up, row = S[i - 1], [zero]
+        for j in range(1, n + 1):
+            mu, nu, rho = up[j], row[j - 1], up[j - 1]
+            row.append([max(mu[0], nu[0]) + W[i - 1][j - 1]]
+                       + [max(a, b) + min(c, d) - r
+                          for a, b, c, d, r in zip(mu[1:], nu[1:], mu, nu, rho)])
+        S.append(row)
+    return S
+
+
+def _check_table(S: list[list[list[int]]]) -> None:
+    """Raise unless every shape is a partition and contains its upper and
+    left neighbours as horizontal strips: outer_1 >= inner_1 >= outer_2 >=
+    ... >= outer_n >= inner_n >= 0."""
+    for i in range(1, len(S)):
+        for j in range(1, len(S)):
+            for inner in (S[i - 1][j], S[i][j - 1]):
+                seq = [v for pair in zip(S[i][j], inner) for v in pair] + [0]
+                if any(a < b for a, b in zip(seq, seq[1:])):
+                    raise InvalidCascadeError(
+                        f"S[{i}][{j}] = {S[i][j]} over {inner} is not a horizontal strip")
+
+
+def _tableau(chain: list[list[int]]) -> list[Counter]:
+    """Row k -> multiplicity of each label in a chain of shapes 0..n."""
+    return [Counter({i: c[k] - p[k] for i, (p, c) in enumerate(zip(chain, chain[1:]), 1)
+                     if c[k] != p[k]})
+            for k in range(len(chain) - 1)]
+
+
+def _chain(tableau: list[Counter]) -> list[list[int]]:
+    """The chain of shapes 0..n whose rows hold the given label counts."""
+    chain = [[0] * len(tableau)]
+    for i in range(1, len(tableau) + 1):
+        chain.append([p + row[i] for p, row in zip(chain[-1], tableau)])
+    return chain
 
 
 @dataclass
 class CascadeResult:
-    cascade: Cascade
     partition: tuple[int, ...]
     left_tableau: list[Counter]   # row k -> multiplicity of each a-index
     right_tableau: list[Counter]
@@ -283,75 +114,56 @@ class CascadeResult:
 
 
 def cascade_grow(W, check: bool = True) -> CascadeResult:
-    """Run the growth to completion and read off the final configuration."""
-    W = np.asarray(W, dtype=np.int64)
-    n = W.shape[0]
-    if W.ndim != 2 or W.shape != (n, n) or (W < 0).any():
+    """Run the growth to completion and read off the final configuration;
+    ``check`` verifies the partition and strip conditions at every cell."""
+    W = np.asarray(W)
+    if (W.ndim != 2 or W.shape[0] != W.shape[1]
+            or not np.issubdtype(W.dtype, np.integer) or (W < 0).any()):
         raise ValueError("W must be a square nonnegative integer matrix")
-    c = Cascade.initial(n)
-    trace: dict[tuple[int, int], int] = {}
-    for t in range(1, 2 * n):
-        c.forward_step(_deposits_at(W, t))
-        if check:
-            c.check_invariants()
-        for x in range(-n, n + 1):
-            trace[(x, t)] = c.levels[0].height(x)
-    lam = c.partition()
-
-    left, right = [], []
-    for k, lev in enumerate(c.levels, start=1):
-        lcount: Counter = Counter()
-        rcount: Counter = Counter()
-        for s in lev.sorted_sides():
-            if s.kind == "L":
-                j = (s.pos2 + 1 + 4 * n) // 4  # x = 2(j-n) - 1/2
-                if s.pos2 != 4 * (j - n) - 1:
-                    raise InvalidCascadeError(f"stray left side at {s.pos2 / 2}")
-                for a in s.labels:
-                    if a != j:
-                        raise InvalidCascadeError("left label off its column")
-                    lcount[a] += 1
-            else:
-                kk = n - (s.pos2 - 1) // 4
-                if s.pos2 != 4 * (n - kk) + 1:
-                    raise InvalidCascadeError(f"stray right side at {s.pos2 / 2}")
-                for b in s.labels:
-                    if b != kk:
-                        raise InvalidCascadeError("right label off its column")
-                    rcount[b] += 1
-        left.append(lcount)
-        right.append(rcount)
-    return CascadeResult(cascade=c, partition=lam, left_tableau=left,
-                         right_tableau=right, level1_trace=trace)
+    n = W.shape[0]
+    S = _grow(W.tolist(), n)
+    if check:
+        _check_table(S)
+    half = [min(max(s // 2, 0), n) for s in range(-n, 3 * n + 1)]  # half[s + n]: s // 2 in 0..n
+    trace = {(x, t): S[half[t + x + 1 + n]][half[t - x + 1 + n]][0]
+             for t in range(1, 2 * n) for x in range(-n, n + 1)}
+    return CascadeResult(partition=tuple(S[n][n]),
+                         left_tableau=_tableau([row[n] for row in S]),
+                         right_tableau=_tableau(S[n]), level1_trace=trace)
 
 
-def cascade_invert(result_or_cascade, check: bool = True) -> np.ndarray:
-    """Reconstruct the integer matrix from a final cascade state."""
-    c = result_or_cascade.cascade if isinstance(result_or_cascade, CascadeResult) \
-        else result_or_cascade
-    n = c.n
-    if c.time != 2 * n - 1:
-        raise InvalidCascadeError(f"cascade is at time {c.time}, expected {2 * n - 1}")
-    W = np.zeros((n, n), dtype=np.int64)
-    for t in range(2 * n - 1, 0, -1):
-        out = c.backward_step()
-        if check:
-            c.check_invariants()
-        for x, squares in out.items():
-            i2, r1 = divmod(t + x + 1, 2)
-            j2, r2 = divmod(t - x + 1, 2)
-            if r1 or r2 or not (1 <= i2 <= n and 1 <= j2 <= n):
-                raise InvalidCascadeError(f"square extracted at invalid (x,t)=({x},{t})")
-            for (a, b) in squares:
-                if (a, b) != (i2, j2):
-                    raise InvalidCascadeError(
-                        f"labels ({a},{b}) inconsistent with position ({i2},{j2})"
-                    )
-            W[i2 - 1, j2 - 1] += len(squares)
-    for lev in c.levels:
-        if lev.sides:
-            raise InvalidCascadeError("leftover sides after full reversal")
-    return W
+def cascade_invert(result: CascadeResult, check: bool = True) -> np.ndarray:
+    """Reconstruct the integer matrix from a final cascade state.
+
+    Raises InvalidCascadeError unless both tableaux end in ``result.partition``,
+    every recovered entry is nonnegative, and regrowing the recovered matrix
+    gives the same tableaux; ``check`` also verifies the partition and strip
+    conditions at every peeled cell."""
+    left, right = result.left_tableau, result.right_tableau
+    n = len(left)
+    a, b = _chain(left), _chain(right)
+    if not a[-1] == b[-1] == list(result.partition):
+        raise InvalidCascadeError("the tableaux do not end in the partition")
+    # column n holds the left chain and row n the right chain; peeling the
+    # cells from (n, n) fills in the rest
+    S = [[None] * n + [a[i]] for i in range(n)] + [b]
+    W = [[0] * n for _ in range(n)]
+    for i in range(n, 0, -1):
+        for j in range(n, 0, -1):
+            lam, mu, nu = S[i][j], S[i - 1][j], S[i][j - 1]
+            w = lam[0] - max(mu[0], nu[0])
+            if w < 0:
+                raise InvalidCascadeError(f"negative entry {w} recovered at ({i}, {j})")
+            W[i - 1][j - 1] = w
+            S[i - 1][j - 1] = ([max(p, q) + min(c, d) - r
+                                for p, q, c, d, r in zip(mu[1:], nu[1:], mu, nu, lam[1:])]
+                               + [min(mu[-1], nu[-1])])
+    if check:
+        _check_table(S)
+    T = _grow(W, n)
+    if _tableau([row[n] for row in T]) != left or _tableau(T[n]) != right:
+        raise InvalidCascadeError("the tableaux are not in the image of the growth")
+    return np.array(W, dtype=np.int64).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -367,13 +367,12 @@ def test_12_arctic_boundaries():
     # (c) substituted Tracy-Widom property: var G(N,N) ~ N^(2/3)
     rng = replica_rng(2028, 0)
     sizes = [64, 128, 256, 512]
-    reps = 300
+    reps, chunk = 300, 20  # one (chunk, n, n) draw reads the stream as chunk (n, n) draws
     logvar = []
     for n in sizes:
         vals = np.empty(reps)
-        for r in range(reps):
-            W = sample_geometric(0.5, (n, n), rng)
-            vals[r] = lpp_value(W)[-1, -1]
+        for r in range(0, reps, chunk):
+            vals[r:r + chunk] = lpp_value(sample_geometric(0.5, (chunk, n, n), rng))[:, -1, -1]
         logvar.append(math.log(vals.var(ddof=1)))
     slope = float(np.polyfit(np.log(sizes), logvar, 1)[0])
     assert abs(slope - 2 / 3) < 0.15

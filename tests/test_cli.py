@@ -247,6 +247,14 @@ def test_aztec_stats_csv_is_pinned(tmp_path):
     assert digest == "89fbc1dda872ebb58cbba29f0b74e1ed0aeee6c49ac8899ceaf967a18e53ae18"
 
 
+def test_schur_rsk_csv_is_pinned(tmp_path):
+    out = tmp_path / "shapes.csv"
+    assert run(["schur-rsk", "--n", "3", "--a", "0.4,0.3,0.2", "--b", "0.3,0.3,0.2",
+                "--seed", "5", "--replicas", "200", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "f824284baadbced58bced4985aaa08bba40979c2eb21fe817929ca44bf297fac"
+
+
 def test_hexagon_negative_sweeps_is_invalid_input(capsys):
     assert run(["hexagon-sample", "--a", "3", "--b", "2", "--c", "2", "--method", "mcmc",
                 "--sweeps", "-3", "--seed", "1"]) == 2

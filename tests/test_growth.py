@@ -79,6 +79,9 @@ def test_lpp_rejects_bad_input():
     W[2, 1, 0] = -1
     with pytest.raises(ValueError):
         lpp_value(W)
+    for W in (np.array([[1.5]]), np.array([[1, 2], [3, 4.7]]), np.array([[1, 2], [3, 4.0]])):
+        with pytest.raises(ValueError):
+            lpp_value(W)
 
 
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 50))

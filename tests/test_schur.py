@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2 as chi2_dist
 
-from tilings.growth import lpp_value
+from tilings.growth import lpp_value, sample_geometric
 from tilings.schur import (
     InvalidCascadeError,
+    _check_table,
+    _grow,
     cascade_grow,
     cascade_invert,
     complete_homogeneous,
@@ -59,6 +62,334 @@ def ssyt_weight_sum(lam, a):
     return total
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the cascade simulated as labelled sides moving on n height curves
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Side:
+    """A vertical run of labelled unit sides at half-integer position pos2/2.
+
+    kind 'L' for up-steps (a-labels), 'R' for down-steps (b-labels); labels
+    are stored bottom-up.
+    """
+
+    pos2: int
+    kind: str
+    labels: list[int] = field(default_factory=list)
+
+
+class _Level:
+    """One height curve: sparse list of sides, flat baseline at -(k-1)."""
+
+    def __init__(self, base: int):
+        self.base = base
+        self.sides: dict[int, _Side] = {}
+
+    def sorted_sides(self) -> list[_Side]:
+        return [self.sides[p] for p in sorted(self.sides)]
+
+    def height(self, x: int) -> int:
+        """Height of the curve on the plateau containing site x."""
+        h = self.base
+        for s in self.sorted_sides():
+            if s.pos2 > 2 * x:
+                break
+            h += len(s.labels) if s.kind == "L" else -len(s.labels)
+        return h
+
+    def check_alternation(self) -> None:
+        sides = self.sorted_sides()
+        for s, t in zip(sides, sides[1:]):
+            if s.kind == t.kind:
+                continue
+            if (t.pos2 - s.pos2) % 4 != 2:
+                raise AssertionError(
+                    f"even gap between {s.kind}@{s.pos2/2} and {t.kind}@{t.pos2/2}"
+                )
+        up = sum(len(s.labels) for s in sides if s.kind == "L")
+        dn = sum(len(s.labels) for s in sides if s.kind == "R")
+        if up != dn:
+            raise AssertionError("curve does not return to its baseline")
+
+    def add_column(self, x: int, squares: list[tuple[int, int]]) -> None:
+        """Stack labelled squares on top of the column at site x."""
+        if not squares:
+            return
+        lf = self.sides.setdefault(2 * x - 1, _Side(2 * x - 1, "L"))
+        rt = self.sides.setdefault(2 * x + 1, _Side(2 * x + 1, "R"))
+        if lf.kind != "L" or rt.kind != "R":
+            raise AssertionError(f"side type clash while stacking at x={x}")
+        lf.labels.extend(a for (a, _b) in squares)
+        rt.labels.extend(b for (_a, b) in squares)
+
+
+@dataclass
+class Cascade:
+    """The full stack of labelled curves, evolvable forward and backward."""
+
+    n: int
+    levels: list[_Level]
+    time: int = 0
+
+    @classmethod
+    def initial(cls, n: int) -> "Cascade":
+        return cls(n=n, levels=[_Level(-(k - 1)) for k in range(1, n + 1)])
+
+    # -- forward ----------------------------------------------------------
+
+    def _h_move(self, level: _Level) -> dict[int, list[tuple[int, int]]]:
+        """Move sides outward; crossings annihilate bottom labels pairwise
+        and emit squares for the next level, keyed by site."""
+        emitted: dict[int, list[tuple[int, int]]] = {}
+        sides = level.sorted_sides()
+        new: dict[int, _Side] = {}
+        i = 0
+        while i < len(sides):
+            s = sides[i]
+            nxt = sides[i + 1] if i + 1 < len(sides) else None
+            if (
+                s.kind == "R"
+                and nxt is not None
+                and nxt.kind == "L"
+                and nxt.pos2 - s.pos2 == 2
+            ):
+                # the pair swaps order; overlapping bottom labels annihilate
+                x = (s.pos2 + 1) // 2
+                z = min(len(s.labels), len(nxt.labels))
+                emitted[x] = [(nxt.labels[j], s.labels[j]) for j in range(z)]
+                rest_r = s.labels[z:]
+                rest_l = nxt.labels[z:]
+                if rest_l:
+                    new[s.pos2] = _Side(s.pos2, "L", rest_l)
+                if rest_r:
+                    new[nxt.pos2] = _Side(nxt.pos2, "R", rest_r)
+                i += 2
+                continue
+            p = s.pos2 - 2 if s.kind == "L" else s.pos2 + 2
+            if p in new:
+                raise AssertionError("side collision during horizontal growth")
+            new[p] = _Side(p, s.kind, s.labels)
+            i += 1
+        level.sides = new
+        return emitted
+
+    def forward_step(self, deposits: dict[int, list[tuple[int, int]]]) -> None:
+        """One time step; ``deposits`` holds the level-1 squares keyed by
+        site x, each square a pair (a-index, b-index)."""
+        self.time += 1
+        incoming = deposits
+        for lev in self.levels:
+            emitted = self._h_move(lev)
+            for x, squares in incoming.items():
+                lev.add_column(x, squares)
+            incoming = emitted
+        if incoming:
+            raise AssertionError(
+                f"level-{self.n} crossings emitted squares at t={self.time}"
+            )
+
+    # -- backward ---------------------------------------------------------
+
+    def _h_unmove(self, level: _Level) -> dict[int, list[tuple[int, int]]]:
+        """Reverse move: width-one peaks pop their top label pairs (the
+        squares that vertical growth stacked), everything else slides back."""
+        popped: dict[int, list[tuple[int, int]]] = {}
+        sides = level.sorted_sides()
+        new: dict[int, _Side] = {}
+        i = 0
+        while i < len(sides):
+            s = sides[i]
+            nxt = sides[i + 1] if i + 1 < len(sides) else None
+            if (
+                s.kind == "L"
+                and nxt is not None
+                and nxt.kind == "R"
+                and nxt.pos2 - s.pos2 == 2
+            ):
+                x = (s.pos2 + 1) // 2
+                z = min(len(s.labels), len(nxt.labels))
+                popped[x] = [
+                    (s.labels[len(s.labels) - z + j], nxt.labels[len(nxt.labels) - z + j])
+                    for j in range(z)
+                ]
+                rest_l = s.labels[: len(s.labels) - z]
+                rest_r = nxt.labels[: len(nxt.labels) - z]
+                if rest_l:
+                    new[nxt.pos2] = _Side(nxt.pos2, "L", rest_l)
+                if rest_r:
+                    new[s.pos2] = _Side(s.pos2, "R", rest_r)
+                i += 2
+                continue
+            p = s.pos2 + 2 if s.kind == "L" else s.pos2 - 2
+            if p in new:
+                raise AssertionError("side collision during reverse growth")
+            new[p] = _Side(p, s.kind, s.labels)
+            i += 1
+        level.sides = new
+        return popped
+
+    def _reinsert(self, level: _Level, x: int, squares: list[tuple[int, int]]) -> None:
+        """Restore annihilated label pairs at the bottom of the sides around
+        site x (undoing a forward crossing)."""
+        rt = level.sides.setdefault(2 * x - 1, _Side(2 * x - 1, "R"))
+        lf = level.sides.setdefault(2 * x + 1, _Side(2 * x + 1, "L"))
+        if rt.kind != "R" or lf.kind != "L":
+            raise InvalidCascadeError(f"cannot restore a crossing at x={x}")
+        rt.labels[:0] = [b for (_a, b) in squares]
+        lf.labels[:0] = [a for (a, _b) in squares]
+
+    def backward_step(self) -> dict[int, list[tuple[int, int]]]:
+        """One reverse time step; returns the level-1 squares taken out."""
+        restore: dict[int, list[tuple[int, int]]] = {}
+        out: dict[int, list[tuple[int, int]]] = {}
+        for lev in reversed(self.levels):
+            popped = self._h_unmove(lev)
+            for x, squares in restore.items():
+                self._reinsert(lev, x, squares)
+            restore = popped
+        out = restore
+        self.time -= 1
+        return out
+
+    # -- invariants and extraction ----------------------------------------
+
+    def check_invariants(self, span: int | None = None) -> None:
+        for lev in self.levels:
+            lev.check_alternation()
+        span = span or (2 * self.n + 2)
+        for upper, lower in zip(self.levels, self.levels[1:]):
+            for x in range(-span, span + 1):
+                if upper.height(x) < lower.height(x) + 1:
+                    raise AssertionError(
+                        f"levels touch at x={x}, t={self.time}"
+                    )
+
+    def heights_at_origin(self) -> list[int]:
+        return [lev.height(0) for lev in self.levels]
+
+    def partition(self) -> tuple[int, ...]:
+        lam = tuple(h + j for j, h in enumerate(self.heights_at_origin()))
+        if any(a < b for a, b in zip(lam, lam[1:])) or (lam and lam[-1] < 0):
+            raise InvalidCascadeError(f"origin heights do not give a partition: {lam}")
+        return lam
+
+
+def _deposits_at(W: np.ndarray, t: int) -> dict[int, list[tuple[int, int]]]:
+    n = W.shape[0]
+    out: dict[int, list[tuple[int, int]]] = {}
+    for i in range(1, n + 1):
+        j = t + 1 - i
+        if not 1 <= j <= n:
+            continue
+        m = int(W[i - 1, j - 1])
+        if m:
+            out[i - j] = [(i, j)] * m
+    return out
+
+
+def grow_by_simulation(W, check: bool = False):
+    """Run the labelled-side growth to completion; returns the final cascade,
+    the partition, both tableaux and the level-1 trace.  Every final side
+    must sit on the column of its labels."""
+    W = np.asarray(W, dtype=np.int64)
+    n = W.shape[0]
+    if W.ndim != 2 or W.shape != (n, n) or (W < 0).any():
+        raise ValueError("W must be a square nonnegative integer matrix")
+    c = Cascade.initial(n)
+    trace: dict[tuple[int, int], int] = {}
+    for t in range(1, 2 * n):
+        c.forward_step(_deposits_at(W, t))
+        if check:
+            c.check_invariants()
+        for x in range(-n, n + 1):
+            trace[(x, t)] = c.levels[0].height(x)
+    lam = c.partition()
+
+    left, right = [], []
+    for k, lev in enumerate(c.levels, start=1):
+        lcount: Counter = Counter()
+        rcount: Counter = Counter()
+        for s in lev.sorted_sides():
+            if s.kind == "L":
+                j = (s.pos2 + 1 + 4 * n) // 4  # x = 2(j-n) - 1/2
+                if s.pos2 != 4 * (j - n) - 1:
+                    raise InvalidCascadeError(f"stray left side at {s.pos2 / 2}")
+                for a in s.labels:
+                    if a != j:
+                        raise InvalidCascadeError("left label off its column")
+                    lcount[a] += 1
+            else:
+                kk = n - (s.pos2 - 1) // 4
+                if s.pos2 != 4 * (n - kk) + 1:
+                    raise InvalidCascadeError(f"stray right side at {s.pos2 / 2}")
+                for b in s.labels:
+                    if b != kk:
+                        raise InvalidCascadeError("right label off its column")
+                    rcount[b] += 1
+        left.append(lcount)
+        right.append(rcount)
+    return c, lam, left, right, trace
+
+
+def invert_by_simulation(c: Cascade, check: bool = False) -> np.ndarray:
+    """Run the labelled-side growth backwards from a final cascade."""
+    n = c.n
+    if c.time != 2 * n - 1:
+        raise InvalidCascadeError(f"cascade is at time {c.time}, expected {2 * n - 1}")
+    W = np.zeros((n, n), dtype=np.int64)
+    for t in range(2 * n - 1, 0, -1):
+        out = c.backward_step()
+        if check:
+            c.check_invariants()
+        for x, squares in out.items():
+            i2, r1 = divmod(t + x + 1, 2)
+            j2, r2 = divmod(t - x + 1, 2)
+            if r1 or r2 or not (1 <= i2 <= n and 1 <= j2 <= n):
+                raise InvalidCascadeError(f"square extracted at invalid (x,t)=({x},{t})")
+            for (a, b) in squares:
+                if (a, b) != (i2, j2):
+                    raise InvalidCascadeError(
+                        f"labels ({a},{b}) inconsistent with position ({i2},{j2})"
+                    )
+            W[i2 - 1, j2 - 1] += len(squares)
+    for lev in c.levels:
+        if lev.sides:
+            raise InvalidCascadeError("leftover sides after full reversal")
+    return W
+
+
+def _assert_matches_oracle(W):
+    res = cascade_grow(W, check=True)
+    c, lam, left, right, trace = grow_by_simulation(W)
+    assert res.partition == lam
+    for got, want in ((res.left_tableau, left), (res.right_tableau, right)):
+        assert [sorted(row.items()) for row in got] == [sorted(row.items()) for row in want]
+    assert res.level1_trace == trace
+    back = cascade_invert(res, check=True)
+    assert back.dtype == np.int64
+    assert (back == invert_by_simulation(c)).all() and (back == W).all()
+
+
+def test_cascade_matches_simulation_oracle():
+    for w in itertools.product(range(3), repeat=4):
+        _assert_matches_oracle(np.array(w).reshape(2, 2))
+    for w in itertools.product(range(2), repeat=9):
+        _assert_matches_oracle(np.array(w).reshape(3, 3))
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        n = int(rng.integers(1, 7))
+        _assert_matches_oracle(rng.integers(0, 5, size=(n, n)))
+    _assert_matches_oracle(sample_geometric(0.5, (16, 16), rng))
+
+
+def test_cascade_grow_rejects_malformed_input():
+    for W in ([[1.5]], [[-0.5]], 5, [[1, 2], [3, 4.0]], [[1, -1], [0, 0]], [[1, 2]]):
+        with pytest.raises(ValueError):
+            cascade_grow(W)
+
+
 def test_zero_matrix():
     res = cascade_grow(np.zeros((3, 3), dtype=int))
     assert res.partition == (0, 0, 0)
@@ -80,6 +411,8 @@ def test_n2_all_ones_hand_case():
 
 
 def test_round_trip_random():
+    empty = np.zeros((0, 0), dtype=int)
+    assert cascade_invert(cascade_grow(empty)).shape == (0, 0)
     rng = np.random.default_rng(0)
     for _ in range(400):
         W = rng.integers(0, 6, size=(4, 4))
@@ -155,16 +488,45 @@ def test_weight_transport_exact():
 
 
 def test_invert_rejects_tampered_state():
+    # both tableaux of [[1, 0], [0, 1]] are rows {1: 1, 2: 1} over empty rows;
+    # label 1 moved from row 1 to row 2 leaves shape (1, 1) against (2, 0)
     res = cascade_grow(np.array([[1, 0], [0, 1]]))
-    # corrupt a label
-    for lev in res.cascade.levels:
-        for s in lev.sorted_sides():
-            if s.labels:
-                s.labels[0] = 2 if s.labels[0] == 1 else 1
-                break
-        break
+    res.left_tableau[0][1] -= 1
+    res.left_tableau[1][1] += 1
+    for check in (False, True):
+        with pytest.raises(InvalidCascadeError):
+            cascade_invert(res, check=check)
+    # same shapes at the end, but the left rows {2: 2} over {1: 1} are no
+    # semistandard tableau
+    res = cascade_grow(np.array([[0, 1], [2, 0]]))
+    assert res.partition == (2, 1)
+    res.left_tableau[:] = [Counter({2: 2}), Counter({1: 1})]
+    for check in (False, True):
+        with pytest.raises(InvalidCascadeError):
+            cascade_invert(res, check=check)
+    # the chains of [[1, 1], [1, -1]]: shape (2, 0) shrinks to (1, 1)
+    res = cascade_grow(np.array([[0, 1], [1, 0]]))
+    assert res.partition == (1, 1)
+    res.left_tableau[:] = [Counter({1: 2, 2: -1}), Counter({2: 1})]
+    res.right_tableau[:] = [Counter({1: 2, 2: -1}), Counter({2: 1})]
+    for check in (False, True):
+        with pytest.raises(InvalidCascadeError):
+            cascade_invert(res, check=check)
+    # a label outside 1..n
+    res = cascade_grow(np.array([[1, 0], [0, 1]]))
+    res.right_tableau[0][2] -= 1
+    res.right_tableau[0][3] += 1
     with pytest.raises(InvalidCascadeError):
         cascade_invert(res, check=False)
+
+
+def test_check_rejects_broken_shape_tables():
+    _check_table(_grow([[1, 2], [0, 3]], 2))
+    for S in ([[[0], [0]], [[0], [-1]]],                       # a negative part
+              [[[0, 0], [0, 0]], [[0, 0], [1, 2]]],            # not a partition
+              [[[0, 0], [0, 0]], [[0, 0], [2, 1]]]):           # (2, 1)/(0, 0) is no strip
+        with pytest.raises(InvalidCascadeError, match="horizontal strip"):
+            _check_table(S)
 
 
 def test_complete_homogeneous():
@@ -265,22 +627,3 @@ def test_height_equals_lpp():
         assert height_equals_lpp(W)
         res = cascade_grow(W, check=False)
         assert res.partition[0] == lpp_value(W)[-1, -1]
-
-
-def test_left_labels_sit_on_their_columns():
-    # final left labels a_j at x = 2(j-n) - 1/2, right labels b_k at
-    # x = 2(n-k) + 1/2; cascade_grow validates this and raises otherwise
-    rng = np.random.default_rng(6)
-    W = rng.integers(0, 4, size=(4, 4))
-    res = cascade_grow(W)
-    n = 4
-    for lev in res.cascade.levels:
-        for s in lev.sorted_sides():
-            if s.kind == "L":
-                assert (s.pos2 + 1) % 4 == 0
-                j = (s.pos2 + 1 + 4 * n) // 4
-                assert all(lab == j for lab in s.labels)
-            else:
-                assert (s.pos2 - 1) % 4 == 0
-                k = n - (s.pos2 - 1) // 4
-                assert all(lab == k for lab in s.labels)
