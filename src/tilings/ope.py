@@ -289,12 +289,11 @@ def build_orthonormal(weight: DiscreteWeight, N: int,
         G = table @ table.T
         residual = float(np.abs(G - np.eye(nrows)).max())
         if 1e-13 < residual <= 1e-9:
-            # Loewdin polish: replace the rows by the symmetric orthonormal
-            # basis of the same span, so kernel projection algebra holds to
+            # one Newton-Schulz step towards the symmetric orthonormal basis
+            # of the same span: with G = I + E the new Gram matrix is
+            # I - 3E^2/4 + O(E^3), so kernel projection algebra holds to
             # machine precision (perturbs each function by ~residual)
-            evals, evecs = np.linalg.eigh(G)
-            half = (evecs / np.sqrt(evals)) @ evecs.T
-            table = half @ table
+            table = (1.5 * np.eye(nrows) - 0.5 * G) @ table
             G = table @ table.T
             residual = float(np.abs(G - np.eye(nrows)).max())
         if residual > 1e-10:
@@ -387,36 +386,93 @@ def correlation(kernel: ProjectionKernel, points) -> float:
     return float(np.linalg.det(kernel.block(pts)))
 
 
+# Steps per panel of sample_dpp; 32, 64 and 128 ran within 10% of each
+# other at K=2000, rank 500.
+_PANEL = 64
+# For a projection kernel each proposal is accepted with probability >= 3/4,
+# so this many rejections in a row has probability <= 4**-200.
+_MAX_REJECTIONS = 200
+
+
 def sample_dpp(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray:
     """Exact sample of the rank-N projection DPP by sequential conditioning.
 
-    Site probabilities are the running Schur-complement diagonal of the
-    kernel; a diagonal entry dropping below -1e-8 signals an ill-conditioned
-    kernel and raises :class:`KernelConditionError`.
+    Runs in coefficient space (Hough-Krishnapur-Peres-Virag 2006, Alg. 18):
+    step i picks x with probability proportional to the Schur-complement
+    diagonal d, and appends the unit vector u_i along phi_x minus its
+    projection on u_1..u_{i-1} to the orthonormal rows U, projecting twice
+    when d(x) < K(x, x) / 16.  The diagonal update
+    d -= (u_i phi)^2 is delayed over panels of b = max(1, min(64, (N-i)//4))
+    steps and done as one GEMM per panel (Poulson, arXiv:1905.00165).
+    Within a panel, x is proposed from the clipped panel-start diagonal p
+    (one ``rng.random()``) and, after the panel's first step, accepted when
+    ``rng.random() * p[x]`` falls below the current d(x); the accepted site
+    has the exact conditional law.  Below rank 8 every panel has one step,
+    so the stream is read as by the unpanelled sampler, one ``rng.random()``
+    per site.
+
+    Raises :class:`KernelConditionError` when, at a panel start or at the
+    end, the diagonal drops below -1e-8 or its clipped mass differs from
+    N - i by more than 1e-6 (a kernel that is not a rank-N projection), on a
+    non-positive pivot, or after 200 rejected proposals in one step.
     """
-    N = kernel.rank
-    d = kernel.diagonal().copy()
-    C = np.empty((N, kernel.size + 1))
+    phi = kernel._phi
+    N, M = phi.shape
+    U = np.zeros((N, N))
+    W = np.empty((M, N))     # W.T = U @ phi, filled panel by panel
+    diag = kernel.diagonal()
+    d = diag.copy()
     chosen = np.empty(N, dtype=int)
-    for i in range(N):
+    i = 0
+    while True:
         if d.min() < -1e-8:
             raise KernelConditionError(
                 f"conditional diagonal reached {d.min():.3e} at step {i}"
             )
-        p = np.clip(d, 0.0, None)
-        tot = p.sum()
-        x = int(rng.choice(kernel.size + 1, p=p / tot))
-        row = kernel.row(x)
-        if i > 0:
-            row = row - C[:i, x] @ C[:i]
-        piv = d[x]
-        if piv <= 0:
-            raise KernelConditionError(f"non-positive pivot {piv:.3e} at step {i}")
-        row = row / math.sqrt(piv)
-        C[i] = row
-        d -= row * row
-        d[x] = 0.0
-        chosen[i] = x
+        if i == N:
+            break
+        p = np.maximum(d, 0.0)
+        cdf = p.cumsum()
+        tot = cdf[-1]
+        if not abs(tot - (N - i)) <= 1e-6:
+            raise KernelConditionError(
+                f"conditional diagonal has mass {tot:.9g} at step {i}, expected {N - i}"
+            )
+        cdf /= tot
+        i0 = i
+        x = int(cdf.searchsorted(rng.random(), side="right"))
+        piv, c = d[x], W[x, :i0]
+        panel = set()
+        for i in range(i0, i0 + max(1, min(_PANEL, (N - i0) // 4))):
+            if i > i0:
+                for _ in range(_MAX_REJECTIONS):
+                    x = int(cdf.searchsorted(rng.random(), side="right"))
+                    g = U[i0:i] @ phi[:, x]
+                    piv = 0.0 if x in panel else d[x] - g @ g
+                    if rng.random() * p[x] < piv:
+                        break
+                else:
+                    raise KernelConditionError(
+                        f"{_MAX_REJECTIONS} proposals rejected at step {i}"
+                    )
+                c = np.concatenate((W[x, :i0], g))
+            if piv <= 0:
+                raise KernelConditionError(f"non-positive pivot {piv:.3e} at step {i}")
+            v = phi[:, x] - c @ U[:i]
+            if piv < diag[x] / 16:
+                # one pass multiplies the orthogonality error of U by up to
+                # sqrt(K(x,x) / d(x)); left unchecked, small pivots compound
+                # it until d drops below -1e-8.  A second pass resets it
+                # ("twice is enough").
+                v -= (U[:i] @ v) @ U[:i]
+            U[i] = v / math.sqrt(v @ v)
+            chosen[i] = x
+            panel.add(x)
+        i += 1
+        P = U[i0:i] @ phi
+        W[:, i0:i] = P.T
+        d -= (P * P).sum(axis=0)
+        d[chosen[i0:i]] = 0.0
     chosen.sort()
     return chosen
 

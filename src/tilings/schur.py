@@ -35,7 +35,6 @@ homogeneous symmetric polynomials, with an exact-rational mode.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,15 +265,11 @@ def sample_schur_matrix(n: int, a, b, rng: np.random.Generator) -> np.ndarray:
     (a_j b_k)^m."""
     if len(a) != n or len(b) != n:
         raise ValueError("parameter vectors must have length n")
-    W = np.empty((n, n), dtype=np.int64)
     u = rng.random((n, n))
-    for j in range(n):
-        for k in range(n):
-            r = a[j] * b[k]
-            if not 0 < r < 1:
-                raise ValueError("need 0 < a_j b_k < 1")
-            W[j, k] = int(math.floor(math.log(u[j, k]) / math.log(r)))
-    return W
+    r = np.outer(a, b)
+    if not (0 < r.min() and r.max() < 1):
+        raise ValueError("need 0 < a_j b_k < 1")
+    return np.floor(np.log(u) / np.log(r)).astype(np.int64)
 
 
 def height_equals_lpp(W) -> bool:

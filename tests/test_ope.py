@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from tilings import replica_rng
 from tilings.ope import (
     ConstructionError,
     DiscreteWeight,
+    KernelConditionError,
     build_orthonormal,
     cd_kernel,
     christoffel_darboux_matrix,
@@ -47,6 +49,28 @@ def kraw_mass_sorted(h, N, K, p):
     for hj in h:
         mass *= Fraction(math.comb(K, hj)) * p**hj * q ** (K - hj)
     return mass / Z
+
+
+def sequential_dpp_oracle(kernel, rng):
+    """Oracle: the unpanelled sampler, conditioning on one site per step with
+    a GEMV over the kernel rows; one ``rng.choice`` per site."""
+    N = kernel.rank
+    d = kernel.diagonal()
+    C = np.empty((N, kernel.size + 1))
+    chosen = np.empty(N, dtype=int)
+    for i in range(N):
+        p = np.clip(d, 0.0, None)
+        x = int(rng.choice(kernel.size + 1, p=p / p.sum()))
+        row = kernel.row(x)
+        if i > 0:
+            row = row - C[:i, x] @ C[:i]
+        row = row / math.sqrt(d[x])
+        C[i] = row
+        d -= row * row
+        d[x] = 0.0
+        chosen[i] = x
+    chosen.sort()
+    return chosen
 
 
 def hahn_closed_form(N: int, alpha: float, beta: float, nmax: int):
@@ -473,3 +497,75 @@ def test_dpp_sampler_chi2_exhaustive_case():
         chi += (counts.get(h, 0) - e) ** 2 / e
         dof += 1
     assert chi2_dist.sf(chi, dof - 1) > 1e-3
+
+
+@pytest.mark.parametrize("K, p, N", [(3, 0.5, 2), (5, 0.4, 3), (6, 0.3, 1)])
+def test_dpp_sampler_matches_sequential_oracle_below_rank_8(K, p, N):
+    # below rank 8 every panel has one step, so the stream is read as by
+    # the unpanelled sampler: one rng.random() per site
+    kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(K, p), N))
+    rng, rng_oracle = np.random.default_rng(77), np.random.default_rng(77)
+    for _ in range(2000):
+        assert np.array_equal(sample_dpp(kern, rng), sequential_dpp_oracle(kern, rng_oracle))
+
+
+def test_dpp_sampler_chi2_with_panels():
+    # K = 13, N = 12: 91 configurations; the first panels have 3 and 2
+    # steps, so proposals are accepted or rejected against the running
+    # diagonal.  Cells with under 5 expected draws are pooled.
+    from scipy.stats import chi2 as chi2_dist
+
+    rng = np.random.default_rng(2024)
+    kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(13, 0.5), 12))
+    R = 20000
+    counts = {}
+    for _ in range(R):
+        s = tuple(int(x) for x in sample_dpp(kern, rng))
+        counts[s] = counts.get(s, 0) + 1
+    chi = 0.0
+    dof = 0
+    pooled_e = pooled_o = 0.0
+    for h in itertools.combinations(range(14), 12):
+        e = float(kraw_mass_sorted(h, 12, 13, Fraction(1, 2))) * R
+        o = counts.get(h, 0)
+        if e >= 5:
+            chi += (o - e) ** 2 / e
+            dof += 1
+        else:
+            pooled_e += e
+            pooled_o += o
+    assert pooled_e >= 5
+    chi += (pooled_o - pooled_e) ** 2 / pooled_e
+    assert chi2_dist.sf(chi, dof) > 1e-3
+
+
+def test_dpp_sampler_keeps_rows_orthonormal_at_small_pivots():
+    # late pivots of this draw fall to 1.8e-4; dividing the Gram-Schmidt
+    # residual by sqrt(d(x)) in one pass let U drift 1.2e-7 from orthonormal
+    # and d reach -3.4e-8, which raised KernelConditionError
+    kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(2000, 0.5), 500))
+    sites = sample_dpp(kern, replica_rng(8304, 98))
+    assert len(set(sites.tolist())) == 500
+
+
+@pytest.mark.parametrize("K, N", [(10, 3), (20, 8)])
+def test_dpp_sampler_rejects_rank_deficient_kernel(K, N):
+    # phi_2 = phi_1 leaves a kernel of rank N - 1 with trace N: no N-point
+    # sample exists, and every draw must say so
+    s = build_orthonormal(DiscreteWeight.krawtchouk(K, 0.5), N)
+    s.table[2] = s.table[1]
+    kern = cd_kernel(s)
+    for seed in range(200):
+        with pytest.raises(KernelConditionError):
+            sample_dpp(kern, np.random.default_rng(seed))
+
+
+def test_newton_schulz_polish_at_growth_size():
+    w = DiscreteWeight.krawtchouk(1761, 0.5)
+    raw = build_orthonormal(w, 256, validate=False).table
+    raw_residual = np.abs(raw @ raw.T - np.eye(raw.shape[0])).max()
+    assert 1e-13 < raw_residual <= 1e-9  # the polish fires at this size
+    s = build_orthonormal(w, 256)
+    assert s.orthonormality_residual <= 1e-13
+    G = s.table @ s.table.T
+    assert np.abs(G - np.eye(s.num_degrees)).max() <= 1e-13

@@ -593,6 +593,30 @@ def test_schur_measure_cauchy_sum():
     assert abs(tot - 1.0) < 1e-6
 
 
+def sample_schur_matrix_loop(n, a, b, rng):
+    """Oracle: one math.log quotient per entry of the same rng.random((n, n))."""
+    u = rng.random((n, n))
+    W = np.empty((n, n), dtype=np.int64)
+    for j in range(n):
+        for k in range(n):
+            W[j, k] = math.floor(math.log(u[j, k]) / math.log(a[j] * b[k]))
+    return W
+
+
+def test_schur_matrix_matches_entry_loop():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(200):
+            a, b = rng.uniform(0.05, 0.95, (2, n))
+            seed = int(rng.integers(2**32))
+            W = sample_schur_matrix(n, a, b, np.random.default_rng(seed))
+            assert W.dtype == np.int64
+            assert np.array_equal(W, sample_schur_matrix_loop(n, a, b, np.random.default_rng(seed)))
+    for a, b in (([0.5, 2.0], [0.5, 0.6]), ([0.5, 0.5], [0.0, 0.5]), ([-0.5, 0.1], [0.6, 0.1])):
+        with pytest.raises(ValueError):
+            sample_schur_matrix(2, a, b, rng)
+
+
 def test_shape_law_matches_schur_measure():
     rng = np.random.default_rng(4)
     a = b = [0.4, 0.3]
