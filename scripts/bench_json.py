@@ -4,11 +4,12 @@ Usage (from the root of the repository):
 
     python3 scripts/bench_json.py OUT.json parent=DIR change=DIR
 
-Each DIR holds the records that ``perfbench/run.py --trace 0`` wrote to its
+Each DIR holds the records that ``perfbench/run.py`` wrote to its
 ``perfbench/results/`` for one side (say, the parent commit and the change).
 For every workload and side the output holds the median of each gated
 metric over that side's runs, the seeds, the commits the records name, the
-median speed-probe time and the worst ``fail_ratio``.
+median speed-probe time and the worst ``fail_ratio``.  The ``--trace 1``
+records add their seeds and the median of each per-layer ``*.p50_ms``.
 """
 
 from __future__ import annotations
@@ -34,18 +35,28 @@ def reduce(records: list[dict]) -> dict:
     }
 
 
+def reduce_traced(records: list[dict]) -> dict:
+    layers = sorted({k for r in records for k in r["metrics"] if k.endswith(".p50_ms")})
+    return {
+        "traced_seeds": sorted(r["seed"] for r in records),
+        "per_layer_p50_ms": {k: statistics.median(r["metrics"][k]["value"] for r in records
+                                                  if k in r["metrics"]) for k in layers},
+    }
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2 or any("=" not in a for a in argv[1:]):
         print(__doc__, file=sys.stderr)
         return 2
     out: dict = {}
     for side, folder in (a.split("=", 1) for a in argv[1:]):
-        by_workload: dict[str, list[dict]] = {}
-        for path in sorted(Path(folder).glob("*-trace0-full.json")):
-            record = json.loads(path.read_text())
-            by_workload.setdefault(record["workload"], []).append(record)
-        for name, records in by_workload.items():
-            out.setdefault(name, {})[side] = reduce(records)
+        for trace, reducer in ((0, reduce), (1, reduce_traced)):
+            by_workload: dict[str, list[dict]] = {}
+            for path in sorted(Path(folder).glob(f"*-trace{trace}-full.json")):
+                record = json.loads(path.read_text())
+                by_workload.setdefault(record["workload"], []).append(record)
+            for name, records in by_workload.items():
+                out.setdefault(name, {}).setdefault(side, {}).update(reducer(records))
     Path(argv[0]).write_text(json.dumps(dict(sorted(out.items())), indent=1) + "\n")
     return 0
 

@@ -14,7 +14,7 @@ Subpackages by model:
 * :mod:`tilings.schur` -- the RSK-equivalent growth cascade, Schur
   polynomials, and the Schur measure.
 * :mod:`tilings.hexagon` -- rhombus tilings of the abc-hexagon, exact column
-  laws, MacMahon counting, boxed plane partitions, lozenge-flip MCMC.
+  laws, MacMahon counting, boxed plane partitions, exact samplers.
 * :mod:`tilings.brickdimer` -- the dimer model on a cylindrical brick
   lattice: spectral kernel, partition function, free energy.
 * :mod:`tilings.cli` -- command-line harness for all of the above.

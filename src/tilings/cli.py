@@ -152,6 +152,8 @@ def _cmd_variance_scan(cfg: ExperimentConfig) -> int:
     K = int(cfg.params["K"])
     t = float(cfg.params["t"])
     Lmin, Lmax = int(cfg.params["Lmin"]), int(cfg.params["Lmax"])
+    if Lmin < 1:
+        raise ValueError(f"Lmin must be positive, got {Lmin}")
     N = int(round(t * K))
     kern = ope.cd_kernel(ope.build_orthonormal(ope.DiscreteWeight.krawtchouk(K, 0.5), N))
     rows = []
@@ -261,10 +263,7 @@ def _cmd_hexagon_law(cfg: ExperimentConfig) -> int:
 def _cmd_hexagon_sample(cfg: ExperimentConfig) -> int:
     spec = _hex_spec(cfg)
     method = cfg.params.get("method", "enumerate")
-    sweeps = int(cfg.params["sweeps"]) if "sweeps" in cfg.params else None
-    fams = _map_replicas(
-        cfg, lambda r, rng: hexagon.sample_hexagon(spec, rng, method, sweeps)
-    )
+    fams = _map_replicas(cfg, lambda r, rng: hexagon.sample_hexagon(spec, rng, method))
     payload = [hexagon.walks_to_hole_columns(f) for f in fams]
     text = json.dumps({"hole_columns": payload}, sort_keys=True)
     if cfg.out:
@@ -310,6 +309,8 @@ def _cmd_dimer_free_energy(cfg: ExperimentConfig) -> int:
     M, N = int(cfg.params["M"]), int(cfg.params["N"])
     z = float(cfg.params["z"])
     lo, hi, step = (float(v) for v in str(cfg.params["scan-w"]).split(":"))
+    if not step > 0:
+        raise ValueError(f"scan-w step must be positive, got {step}")
     rows = []
     w = lo
     while w <= hi + 1e-12:
@@ -338,7 +339,7 @@ _COMMANDS = {
     "schur-prob": (_cmd_schur_prob, ["lam", "a", "b"]),
     "hexagon-count": (_cmd_hexagon_count, ["a", "b", "c"]),
     "hexagon-law": (_cmd_hexagon_law, ["a", "b", "c", "m", "kind"]),
-    "hexagon-sample": (_cmd_hexagon_sample, ["a", "b", "c", "method", "sweeps"]),
+    "hexagon-sample": (_cmd_hexagon_sample, ["a", "b", "c", "method"]),
     "dimer-z": (_cmd_dimer_z, ["M", "N", "z", "w"]),
     "dimer-corr": (_cmd_dimer_corr, ["M", "N", "z", "w", "points"]),
     "dimer-free-energy": (_cmd_dimer_free_energy, ["M", "N", "z", "scan-w"]),
@@ -394,7 +395,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args, params)
         missing = [p for p in params if p not in cfg.params
-                   and p not in ("kind", "method", "sweeps", "draws", "mc-samples", "r")]
+                   and p not in ("kind", "method", "draws", "mc-samples", "r")]
         if missing:
             raise CliError("missing-flag", f"missing required flags: {missing}")
         return fn(cfg)

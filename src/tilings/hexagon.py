@@ -10,8 +10,8 @@ Exact machinery: column prefix counts as determinants of binomial
 coefficients (integer arithmetic), MacMahon's product formula, the exact
 column laws (holes are a Hahn ensemble, particles an associated Hahn
 ensemble), and a count-DP sampler that is exactly uniform.  For hexagons too
-large to count, a checkerboard Glauber chain of single-lozenge flips mixes
-towards the uniform measure.
+large to count, two checkerboard Glauber chains of single-lozenge flips,
+coupled from the past, draw exactly uniform tilings as well.
 """
 
 from __future__ import annotations
@@ -311,7 +311,8 @@ class _DPSampler:
         total_estimate = macmahon(a, b, c)
         if total_estimate > 10_000_000:
             raise ValueError(
-                f"N(a,b,c) = {total_estimate} exceeds the exact-sampling limit 1e7"
+                f"N(a,b,c) = {total_estimate} exceeds the count-DP limit 1e7; "
+                'method="mcmc" samples exactly at any size'
             )
         self.layers = _completion_counts(spec)
         start = tuple(2 * k for k in range(c))
@@ -403,24 +404,43 @@ class LozengeChain:
                 S[:, 1:-1][sel & ~coin & can_dn] -= 2
 
 
-def sample_hexagon(spec: HexagonSpec, rng: np.random.Generator,
-                   method: str = "enumerate", sweeps: int | None = None) -> WalkFamily:
-    """One uniform (exact or MCMC) random tiling as a walk family.
+# Sweeps in the last coupling-from-the-past epoch; each earlier one doubles.
+_CFTP_START = 16
 
-    "mcmc" starts a fresh chain, burns it in for max(10 abc / ((a+b-1) c), 10)
-    sweeps and then runs ``sweeps`` more (10 by default)."""
-    if sweeps is not None and sweeps < 0:
-        raise ValueError(f"sweeps must be nonnegative, got {sweeps}")
+
+def _cftp(spec: HexagonSpec, rng: np.random.Generator) -> WalkFamily:
+    """Monotone coupling from the past (Propp-Wilson 1996) of two
+    LozengeChains: the lowest family (the frozen start) and the highest,
+    S[k, m] = beta_m - 2(c-1-k).  Shared coins keep them ordered, with every
+    family between them.  Epoch j runs _CFTP_START * 2**j sweeps on a Philox
+    stream keyed once from ``rng``; each restart adds an older epoch and
+    replays the later ones.  Agreement at time 0 gives an exact draw."""
+    betas = np.array([column_bounds(spec, m)[1] for m in range(spec.columns + 1)])
+    top = betas[None, :] - 2 * np.arange(spec.c - 1, -1, -1)[:, None]
+    keys: list[np.ndarray] = []
+    while True:
+        keys.append(rng.integers(2**64, size=2, dtype=np.uint64))
+        lo, hi = LozengeChain(spec, rng), LozengeChain(spec, rng)
+        hi.S = top.copy()
+        for j in reversed(range(len(keys))):
+            for chain in (lo, hi):
+                chain.rng = np.random.Generator(np.random.Philox(key=keys[j]))
+                chain.sweep(_CFTP_START << j)
+        if np.array_equal(lo.S, hi.S):
+            return lo.family()
+
+
+def sample_hexagon(spec: HexagonSpec, rng: np.random.Generator,
+                   method: str = "enumerate") -> WalkFamily:
+    """One exactly uniform random tiling as a walk family.
+
+    "enumerate" walks forward against the completion counts of the column
+    DP (up to 1e7 tilings); "mcmc" couples LozengeChains from the past (see
+    _cftp), at any size."""
     if method == "enumerate":
         return _dp_sampler(spec).sample(rng)
     if method == "mcmc":
-        chain = LozengeChain(spec, rng)
-        default_burn = 10 * spec.a * spec.b * spec.c // max(
-            (spec.a + spec.b - 1) * spec.c, 1
-        )
-        chain.sweep(max(default_burn, 10))
-        chain.sweep(sweeps if sweeps is not None else 10)
-        return chain.family()
+        return _cftp(spec, rng)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -340,8 +340,13 @@ class ProjectionKernel:
         return self._phi[:, x] @ self._phi
 
     def block(self, I, J=None) -> np.ndarray:
+        """K restricted to rows I and columns J (default I); every site must
+        lie in 0..size, so a negative one is not read from the other end."""
         I = np.asarray(I, dtype=int)
         J = I if J is None else np.asarray(J, dtype=int)
+        for sites in (I, J):
+            if sites.size and not (0 <= sites.min() and sites.max() <= self.size):
+                raise ValueError(f"site outside the support 0..{self.size}")
         return self._phi[:, I].T @ self._phi[:, J]
 
     def matrix(self) -> np.ndarray:
@@ -379,8 +384,6 @@ def correlation(kernel: ProjectionKernel, points) -> float:
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise ValueError(f"duplicate points in {pts}")
-    if any(not 0 <= p <= kernel.size for p in pts):
-        raise ValueError("point outside support")
     if not pts:
         return 1.0
     return float(np.linalg.det(kernel.block(pts)))
@@ -507,7 +510,7 @@ def max_particle_cdf(kernel: ProjectionKernel, s: int) -> float:
     """P[max particle <= s] = det(I - K) on {s+1, ..., size}."""
     if s >= kernel.size:
         return 1.0
-    A = np.arange(s + 1, kernel.size + 1)
+    A = np.arange(max(s + 1, 0), kernel.size + 1)
     lam = np.linalg.eigvalsh(kernel.block(A))
     lam = np.clip(lam, 0.0, 1.0)
     return float(np.prod(1.0 - lam))

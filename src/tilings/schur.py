@@ -41,8 +41,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .growth import lpp_value
-
 __all__ = [
     "InvalidCascadeError",
     "CascadeResult",
@@ -52,7 +50,6 @@ __all__ = [
     "schur_poly",
     "schur_measure_prob",
     "sample_schur_matrix",
-    "height_equals_lpp",
     "hook_content_product",
 ]
 
@@ -270,16 +267,3 @@ def sample_schur_matrix(n: int, a, b, rng: np.random.Generator) -> np.ndarray:
     if not (0 < r.min() and r.max() < 1):
         raise ValueError("need 0 < a_j b_k < 1")
     return np.floor(np.log(u) / np.log(r)).astype(np.int64)
-
-
-def height_equals_lpp(W) -> bool:
-    """Check G(M,N) = h_1(M-N, M+N-1) at every position of the matrix."""
-    W = np.asarray(W, dtype=np.int64)
-    n = W.shape[0]
-    res = cascade_grow(W, check=False)
-    G = lpp_value(W)
-    for M in range(1, n + 1):
-        for N in range(1, n + 1):
-            if res.level1_trace[(M - N, M + N - 1)] != G[M - 1, N - 1]:
-                return False
-    return True

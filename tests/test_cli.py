@@ -139,6 +139,25 @@ def test_dimer_free_energy_scan(tmp_path):
     assert rows[1].split(",")[2] == "nan"  # critical point has no limit value
 
 
+def test_scans_reject_steps_that_never_end(tmp_path, capsys):
+    # a step <= 0 or a start L <= 0 would loop forever
+    for scan in ("0.1:2.0:0", "0.1:2.0:-0.05", "2.0:0.1:-0.05"):
+        assert run(["dimer-free-energy", "--M", "4", "--N", "4", "--z", "1.0",
+                    "--scan-w", scan, "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid-input: scan-w step")
+    for Lmin in ("0", "-4"):
+        assert run(["variance-scan", "--K", "100", "--t", "0.5", "--Lmin", Lmin,
+                    "--Lmax", "64", "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid-input: Lmin")
+
+
+def test_variance_scan_past_the_support_is_invalid_input(tmp_path, capsys):
+    # L = 128 > K would read sites -14..114 of 0..100
+    assert run(["variance-scan", "--K", "100", "--t", "0.5", "--Lmin", "16",
+                "--Lmax", "1024", "--out", str(tmp_path / "v.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid-input: site outside")
+
+
 def test_lis_check_json(capsys):
     assert run(["lis-check", "--alpha", "4", "--n", "6", "--draws", "3000",
                 "--seed", "11"]) == 0
@@ -209,19 +228,19 @@ def test_hexagon_mcmc_replicas_are_independent_streams(tmp_path):
     for replicas in (2, 3):
         out = tmp_path / f"m{replicas}.json"
         assert run(["hexagon-sample", "--a", "3", "--b", "2", "--c", "2",
-                    "--method", "mcmc", "--sweeps", "7", "--seed", "4",
+                    "--method", "mcmc", "--seed", "4",
                     "--replicas", str(replicas), "--out", str(out)]) == 0
         got = json.loads(out.read_text())["hole_columns"]
         assert got == [
             hexagon.walks_to_hole_columns(
-                hexagon.sample_hexagon(spec, replica_rng(4, r), "mcmc", 7))
+                hexagon.sample_hexagon(spec, replica_rng(4, r), "mcmc"))
             for r in range(replicas)
         ]
 
 
 @pytest.mark.parametrize("method, digest", [
     ("enumerate", "cfea875f0d0e8965f9243341928c344f46e5fc1fbac2a2e48cf59df6fa98a861"),
-    ("mcmc", "f3edf12a9c6711e447f5541c7fb8ff2f7955ab277bc22b2f19457183658b5ac3"),
+    ("mcmc", "2583cd2b0a7c9b428023215825b0bae6eddfb4e82944c1b49822fa7e39b83f4d"),
 ])
 def test_hexagon_sample_stdout_is_pinned(capsys, method, digest):
     # how walk families are stored must not change the bytes written
@@ -253,27 +272,6 @@ def test_schur_rsk_csv_is_pinned(tmp_path):
                 "--seed", "5", "--replicas", "200", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "f824284baadbced58bced4985aaa08bba40979c2eb21fe817929ca44bf297fac"
-
-
-def test_hexagon_negative_sweeps_is_invalid_input(capsys):
-    assert run(["hexagon-sample", "--a", "3", "--b", "2", "--c", "2", "--method", "mcmc",
-                "--sweeps", "-3", "--seed", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: invalid-input: sweeps")
-
-
-def test_hexagon_sweeps_zero_runs_burn_in_only(tmp_path):
-    # --sweeps 0 adds no sweeps after the burn-in; it is not the default 10
-    files = {}
-    for sweeps in ("0", "10"):
-        out = tmp_path / f"s{sweeps}.json"
-        assert run(["hexagon-sample", "--a", "3", "--b", "2", "--c", "2",
-                    "--method", "mcmc", "--sweeps", sweeps, "--seed", "1",
-                    "--out", str(out)]) == 0
-        files[sweeps] = out.read_bytes()
-    assert files["0"] != files["10"]
-    chain = hexagon.sample_hexagon(hexagon.HexagonSpec(3, 2, 2), replica_rng(1, 0), "mcmc", 0)
-    assert json.loads(files["0"])["hole_columns"] == [hexagon.walks_to_hole_columns(chain)]
 
 
 def test_config_values_match_flags(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.stats import chi2 as chi2_dist
 
-from tilings import ope
+from tilings import ope, replica_rng
 from tilings.hexagon import (
     HexagonSpec,
     LozengeChain,
@@ -29,7 +29,7 @@ from tilings.hexagon import (
     sample_hexagon,
     walks_to_hole_columns,
 )
-from tilings.hexagon import _column_states, _transitions
+from tilings.hexagon import _CFTP_START, _column_states, _transitions
 
 
 def macmahon_closed_form(a: int, b: int, c: int) -> int:
@@ -308,12 +308,6 @@ def test_exact_sampler_refuses_large():
         sample_hexagon(HexagonSpec(40, 40, 40), rng)
 
 
-def test_sample_hexagon_rejects_negative_sweeps():
-    # range(-3) is empty, so -3 would otherwise run as 0 sweeps
-    with pytest.raises(ValueError, match="sweeps must be nonnegative"):
-        sample_hexagon(HexagonSpec(3, 2, 2), np.random.default_rng(0), "mcmc", -3)
-
-
 def test_mcmc_uniform_222():
     rng = np.random.default_rng(3)
     spec = HexagonSpec(2, 2, 2)
@@ -327,6 +321,95 @@ def test_mcmc_uniform_222():
     assert len(counts) == 20
     chi = sum((o - R / 20) ** 2 / (R / 20) for o in counts.values())
     assert chi2_dist.sf(chi, 19) > 1e-3
+
+
+def highest_family(spec: HexagonSpec) -> np.ndarray:
+    """Oracle: every walk hugs the upper boundary, S[k, m] = beta_m - 2(c-1-k)."""
+    return np.array([[column_bounds(spec, m)[1] - 2 * (spec.c - 1 - k)
+                      for m in range(spec.columns + 1)] for k in range(spec.c)])
+
+
+def test_shared_coins_keep_walk_families_ordered():
+    # the monotonicity that coupling from the past relies on
+    spec = HexagonSpec(3, 2, 2)
+    fams = [f.S for f in enumerate_walks(spec)]
+    lo, hi = LozengeChain(spec, None), LozengeChain(spec, None)
+    for i, (S, T) in enumerate((S, T) for S in fams for T in fams if (S <= T).all()):
+        lo.S, hi.S = S.copy(), T.copy()
+        lo.rng, hi.rng = np.random.default_rng(i), np.random.default_rng(i)
+        lo.sweep()
+        hi.sweep()
+        assert (lo.S <= hi.S).all()
+    # from the lowest and the highest family, after every sweep, until they meet
+    for abc in [(4, 3, 3), (8, 8, 8)]:
+        spec = HexagonSpec(*abc)
+        lo = LozengeChain(spec, np.random.default_rng(30))
+        hi = LozengeChain(spec, np.random.default_rng(30))
+        hi.S = highest_family(spec)
+        hi.family().validate()
+        for _ in range(2000):
+            lo.sweep()
+            hi.sweep()
+            assert (lo.S <= hi.S).all()
+        assert np.array_equal(lo.S, hi.S)
+
+
+@pytest.mark.parametrize("abc, draws", [((2, 2, 2), 1000), ((3, 2, 2), 2000)])
+def test_mcmc_law_is_uniform_over_all_tilings(abc, draws):
+    spec = HexagonSpec(*abc)
+    keys = [f.S.tobytes() for f in enumerate_walks(spec)]
+    rng = np.random.default_rng(31)
+    counts = Counter(sample_hexagon(spec, rng, "mcmc").S.tobytes() for _ in range(draws))
+    assert set(counts) <= set(keys)
+    e = draws / len(keys)
+    chi = sum((counts[k] - e) ** 2 / e for k in keys)
+    assert chi2_dist.sf(chi, len(keys) - 1) > 1e-3
+
+
+def test_mcmc_column_hole_law_433():
+    spec, m, R = HexagonSpec(4, 3, 3), 3, 1000
+    law = column_law(spec, m, "holes")
+    rng = np.random.default_rng(32)
+    counts = Counter(sample_hexagon(spec, rng, "mcmc").holes(m) for _ in range(R))
+    assert set(counts) <= set(law)
+    chi, dof, pooled_e, pooled_o = 0.0, -1, 0.0, 0
+    for key, pr in law.items():
+        e, o = float(pr) * R, counts[key]
+        if e >= 5:
+            chi += (o - e) ** 2 / e
+            dof += 1
+        else:
+            pooled_e += e
+            pooled_o += o
+    chi += (pooled_o - pooled_e) ** 2 / pooled_e
+    assert chi2_dist.sf(chi, dof + 1) > 1e-3
+
+
+def test_mcmc_draw_is_where_every_start_is_at_time_0():
+    # run through the same epochs from further back, any start must end at
+    # the draw: each epoch's coins are replayed from its key, never redrawn
+    spec = HexagonSpec(6, 6, 6)
+    starts = [LozengeChain(spec, None).S, highest_family(spec),
+              sample_hexagon(spec, np.random.default_rng(40), "mcmc").S]
+    for seed in range(3):
+        draw = sample_hexagon(spec, np.random.default_rng(seed), "mcmc").S
+        rng = np.random.default_rng(seed)
+        keys = [rng.integers(2**64, size=2, dtype=np.uint64) for _ in range(8)]
+        for S in starts:
+            chain = LozengeChain(spec, None)
+            chain.S = S.copy()
+            for j in reversed(range(8)):
+                chain.rng = np.random.Generator(np.random.Philox(key=keys[j]))
+                chain.sweep(_CFTP_START << j)
+            assert np.array_equal(chain.S, draw)
+
+
+def test_mcmc_volume_mean_is_half_at_8():
+    # E[V] = abc/2 on the regular hexagon, by its 180-degree symmetry
+    spec = HexagonSpec(8, 8, 8)
+    v = np.array([plane_partition_height(sample_hexagon(spec, replica_rng(3, r), "mcmc")).sum()
+                  for r in range(64)]) / 8**3
+    assert abs(v.mean() - 0.5) < 4 * v.std(ddof=1) / 8
 
 
 def test_samples_are_valid_walks():

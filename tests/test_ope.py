@@ -297,6 +297,22 @@ def test_dpp_rank1_is_weight_law():
         assert abs(counts[x] - R * probs[x]) <= 4 * max(sd, 1.0)
 
 
+def test_sites_outside_the_window_are_rejected():
+    # a negative site must not wrap around to the far end of the window
+    K = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(10, 0.5), 3))
+    with pytest.raises(ValueError, match="site outside the support 0..10"):
+        number_variance(K, [-1, 0])
+    with pytest.raises(ValueError, match="site outside"):
+        sample_counts(K, [-1, -2], 5, np.random.default_rng(0))
+    for pts in ([11], [-1, 3]):
+        with pytest.raises(ValueError, match="site outside"):
+            correlation(K, pts)
+    with pytest.raises(ValueError, match="site outside"):
+        K.block([0, 1], [2, 11])
+    assert max_particle_cdf(K, -3) == max_particle_cdf(K, -1) < 1e-12
+    assert number_variance(K, [10, 0]) > 0
+
+
 def test_count_sampling_matches_kernel_moments():
     rng = np.random.default_rng(17)
     s = build_orthonormal(DiscreteWeight.krawtchouk(60, 0.5), 30)

@@ -19,7 +19,6 @@ from tilings.schur import (
     cascade_grow,
     cascade_invert,
     complete_homogeneous,
-    height_equals_lpp,
     hook_content_product,
     sample_schur_matrix,
     schur_measure_prob,
@@ -641,6 +640,19 @@ def test_shape_law_matches_schur_measure():
                 pooled_o += o
     chi += (pooled_o - pooled_e) ** 2 / max(pooled_e, 1e-9)
     assert chi2_dist.sf(chi, dof) > 1e-3
+
+
+def height_equals_lpp(W) -> bool:
+    """Oracle: G(M,N) = h_1(M-N, M+N-1) at every position of the matrix."""
+    W = np.asarray(W, dtype=np.int64)
+    n = W.shape[0]
+    res = cascade_grow(W, check=False)
+    G = lpp_value(W)
+    for M in range(1, n + 1):
+        for N in range(1, n + 1):
+            if res.level1_trace[(M - N, M + N - 1)] != G[M - 1, N - 1]:
+                return False
+    return True
 
 
 def test_height_equals_lpp():
