@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from ._rng import replica_rng
 __all__ = ["ExperimentConfig", "main", "run"]
 
 _MODES = ("float", "exact")  # exact where supported
+_TABLE_ENTRIES = 1 << 22  # int64 entries of the shape tables grown at once (32 MB)
 
 
 class CliError(Exception):
@@ -215,12 +217,13 @@ def _cmd_schur_rsk(cfg: ExperimentConfig) -> int:
     n = int(cfg.params["n"])
     a = _parse_vector(cfg.params["a"])
     b = _parse_vector(cfg.params["b"])
-    counts: dict[tuple, int] = {}
-    for r in range(cfg.replicas):
-        rng = replica_rng(cfg.seed, r)
-        W = schur.sample_schur_matrix(n, a, b, rng)
-        lam = schur.cascade_grow(W, check=False).partition
-        counts[lam] = counts.get(lam, 0) + 1
+    draws = _map_replicas(cfg, lambda r, rng: schur.sample_schur_matrix(n, a, b, rng))
+    W = np.array(draws, dtype=np.int64).reshape(-1, n, n)
+    # only the shapes are read, so batches of replicas share one growth
+    batch = max(1, _TABLE_ENTRIES // ((n + 1) ** 2 * max(n, 1)))
+    counts: Counter = Counter()
+    for r in range(0, len(W), batch):
+        counts.update(map(tuple, growth._shapes(W[r:r + batch], n)[:, n, n].tolist()))
     rows = [[",".join(map(str, lam)), counts[lam]] for lam in sorted(counts)]
     _write_csv(cfg, cfg.out or "shapes.csv", ["lambda", "count"], rows)
     return 0

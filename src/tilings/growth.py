@@ -2,8 +2,15 @@
 
 G(M, N) is the maximal sum of i.i.d. geometric(q) weights over up/right
 lattice paths from (1,1) to (M,N); it satisfies the recursion
-G(M,N) = max(G(M-1,N), G(M,N-1)) + w(M,N), which we evaluate along
-anti-diagonals so the table fills with vectorized numpy operations.
+G(M,N) = max(G(M-1,N), G(M,N-1)) + w(M,N), the first part of Fomin's local
+rule for the RSK growth diagram (see schur.py): G(M, N) is part 1 of the RSK
+shape of W[:M, :N].  One kernel, ``_shapes``, fills the first k parts of
+every such shape, and ``lpp_value`` is its k = 1 case.  It holds the bordered
+(M+1) x (N+1) table row-major in one flat array, where the anti-diagonal
+i + j = d is the strided slice flat[a:b:N], and its upper, left and upper-left
+neighbours are the same slice shifted by -(N+1), -1 and -(N+2).  So the table
+fills diagonal by diagonal, each diagonal a few ufuncs on views, with any
+leading axes of W swept together.
 
 The exact distribution function delegates to the Krawtchouk projection
 kernel: P[G(M,N) <= t] equals the probability that the largest of M
@@ -54,26 +61,63 @@ def sample_geometric(q: float, size, rng: np.random.Generator) -> np.ndarray:
     return np.floor(np.log(u) / math.log(q)).astype(np.int64)
 
 
+# bound on the weight sum, which bounds every table entry: the local rule's
+# intermediate sums stay in int64 with room for the rounding of a float sum
+_INT64_LIMIT = np.iinfo(np.int64).max // 4
+
+
+def _diagonals(M: int, N: int):
+    """Start and stop of the anti-diagonals d = 2, ..., M + N of the cells
+    1 <= i <= M, 1 <= j <= N in the row-major flat (M+1) x (N+1) table: cell
+    (i, d - i) sits at d + i*N, so each diagonal is a slice with step N."""
+    if M and N:
+        for d in range(2, M + N + 1):
+            yield d + max(1, d - N) * N, d + min(M, d - 1) * N + 1
+
+
+def _shapes(W: np.ndarray, parts: int) -> np.ndarray:
+    """The first ``parts`` parts of the RSK shape of every corner W[..., :i, :j].
+
+    Returns the bordered table S[..., i, j, :] for 0 <= i <= M, 0 <= j <= N,
+    with row 0 and column 0 empty, filled diagonal by diagonal by the local
+    rule (schur.py).  Part k reads only parts k-1 and k of the neighbours, so
+    any ``parts`` give a closed recursion; part 1 is the last-passage table.
+    W must be a nonnegative integer array, its leading axes swept together;
+    a matrix whose sum passes the int64 limit is rejected before the sweep.
+    """
+    if W.sum(axis=(-2, -1), dtype=np.float64).max(initial=0) > _INT64_LIMIT:
+        raise ValueError("weights too large: the table would overflow int64")
+    *lead, M, N = W.shape
+    S = np.zeros((*lead, M + 1, N + 1, max(parts, 1)), dtype=np.int64)
+    S[..., 1:, 1:, 0] = W
+    flat = S.reshape(*lead, (M + 1) * (N + 1), S.shape[-1])
+    part1 = flat[..., 0]  # no parts axis: k = 1 sweeps as fast as a 1-D table
+    for a, b in _diagonals(M, N):
+        # part 1 holds w until its diagonal is reached
+        part1[..., a:b:N] += np.maximum(part1[..., a - N - 1:b - N - 1:N],
+                                        part1[..., a - 1:b - 1:N])
+        if parts > 1:
+            mu = flat[..., a - N - 1:b - N - 1:N, :]
+            nu = flat[..., a - 1:b - 1:N, :]
+            rho = flat[..., a - N - 2:b - N - 2:N, :-1]
+            flat[..., a:b:N, 1:] = (np.maximum(mu[..., 1:], nu[..., 1:])
+                                    + np.minimum(mu[..., :-1], nu[..., :-1]) - rho)
+    return S[..., :parts]
+
+
 def lpp_value(W: np.ndarray) -> np.ndarray:
     """Full last-passage table G[..., i, j] (1-based cells stored 0-based).
 
     The last two axes of W are the M x N lattice; any leading axes index
     independent weight matrices, which are swept together.  The weights
     must be nonnegative integers; a float array is rejected, not truncated.
-    64-bit throughout; overflow is impossible at any realistic size but is
-    asserted anyway.
+    64-bit throughout; a matrix whose weights sum past 2**61 is rejected, so
+    the table cannot overflow.
     """
     W = np.asarray(W)
     if W.ndim < 2 or not np.issubdtype(W.dtype, np.integer) or (W < 0).any():
         raise ValueError("weight matrix must be at least 2-d, integer and nonnegative")
-    *lead, M, N = W.shape
-    G = np.zeros((*lead, M + 1, N + 1), dtype=np.int64)
-    for d in range(2, M + N + 1):
-        i = np.arange(max(1, d - N), min(M, d - 1) + 1)
-        j = d - i
-        G[..., i, j] = np.maximum(G[..., i - 1, j], G[..., i, j - 1]) + W[..., i - 1, j - 1]
-    assert G[..., M, N].max(initial=0) <= np.iinfo(np.int64).max // 4
-    return G[..., 1:, 1:]
+    return _shapes(W, 1)[..., 1:, 1:, 0]
 
 
 def lpp_cdf_exact(M: int, N: int, q: float, t: int) -> float:

@@ -134,12 +134,12 @@ def walks_to_hole_columns(fam: WalkFamily) -> list[list[int]]:
 
 
 def _int_det(M: list[list[int]]) -> int:
-    """Bareiss integer-preserving determinant."""
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination: every division is exact, so all entries stay integers."""
     A = [row[:] for row in M]
     n = len(A)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    sign = prev = 1
+    for k in range(n):
         if A[k][k] == 0:
             piv = next((r for r in range(k + 1, n) if A[r][k] != 0), None)
             if piv is None:
@@ -150,7 +150,7 @@ def _int_det(M: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
         prev = A[k][k]
-    return sign * A[-1][-1]
+    return sign * prev
 
 
 def lgv_count(spec: HexagonSpec, m: int, x) -> int:

@@ -10,9 +10,9 @@ level k has height
 
     h_k(x, t) = S[i][j]_k - (k - 1),  i = (t+x+1)//2, j = (t-x+1)//2,
 
-with i and j clamped to 0..n.  The table fills cell by cell by Fomin's local
-rule (Fomin, J. Algebraic Combin. 4, 1995; Krattenthaler, Adv. Appl. Math.
-37, 2006).  With mu = S[i-1][j], nu = S[i][j-1] and rho = S[i-1][j-1],
+with i and j clamped to 0..n.  The table fills by Fomin's local rule
+(Fomin, J. Algebraic Combin. 4, 1995; Krattenthaler, Adv. Appl. Math. 37,
+2006).  With mu = S[i-1][j], nu = S[i][j-1] and rho = S[i-1][j-1],
 
     S[i][j]_1 = max(mu_1, nu_1) + w(i, j),
     S[i][j]_k = max(mu_k, nu_k) + min(mu_{k-1}, nu_{k-1}) - rho_{k-1},  k >= 2,
@@ -22,24 +22,38 @@ and, writing lambda = S[i][j], the rule inverts as
     rho_k = max(mu_{k+1}, nu_{k+1}) + min(mu_k, nu_k) - lambda_{k+1},
     w(i, j) = lambda_1 - max(mu_1, nu_1).
 
+Every cell of an anti-diagonal i + j = d depends only on the two diagonals
+before it, so the table fills diagonal by diagonal: growth._shapes holds it
+as one flat array in which each diagonal and its three neighbours are strided
+views, and its first part is growth.lpp_value's last-passage table.
+
 After 2n-1 steps the heights at the origin give the partition S[n][n], and
 the labelled sides form a pair of semistandard tableaux read off the boundary
 chains: row k of the left tableau holds S[i][n]_k - S[i-1][n]_k labels a_i,
 and the right tableau reads the same way off S[n][j] with labels b_j.  Level 1
-is the last-passage table, h_1 = G.  The growth is a bijection: peeling the
-cells from the two boundary chains by the inverse rule rebuilds W exactly.
+is the last-passage table, h_1 = G.  The growth is a bijection: starting from
+the two boundary chains (column n and row n of the table), the inverse rule
+peels the anti-diagonals backward, from d = 2n down to 2: diagonals d and
+d - 1 give the entries of W on diagonal d and the shapes on diagonal d - 2,
+and so the peel rebuilds W exactly.
 
 Schur polynomials come from the Jacobi-Trudi determinant of complete
-homogeneous symmetric polynomials, with an exact-rational mode.
+homogeneous symmetric polynomials, with an exact-rational mode that clears
+denominators row by row and takes hexagon's fraction-free integer
+determinant.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .growth import _INT64_LIMIT, _diagonals, _shapes
+from .hexagon import _int_det
 
 __all__ = [
     "InvalidCascadeError",
@@ -58,39 +72,25 @@ class InvalidCascadeError(ValueError):
     """A labelled configuration that is not in the image of the growth map."""
 
 
-def _grow(W: list[list[int]], n: int) -> list[list[list[int]]]:
-    """The shape table S[i][j], 0 <= i, j <= n, by the forward local rule."""
-    zero = [0] * n
-    S = [[zero] * (n + 1)]
-    for i in range(1, n + 1):
-        up, row = S[i - 1], [zero]
-        for j in range(1, n + 1):
-            mu, nu, rho = up[j], row[j - 1], up[j - 1]
-            row.append([max(mu[0], nu[0]) + W[i - 1][j - 1]]
-                       + [max(a, b) + min(c, d) - r
-                          for a, b, c, d, r in zip(mu[1:], nu[1:], mu, nu, rho)])
-        S.append(row)
-    return S
+def _check_table(S) -> None:
+    """Raise unless every shape of the table S[i, j, :] is a partition and
+    contains its upper and left neighbours as horizontal strips: outer_1 >=
+    inner_1 >= outer_2 >= ... >= outer_n >= inner_n >= 0."""
+    S = np.asarray(S)
+    outer = S[1:, 1:]
+    for inner in (S[:-1, 1:], S[1:, :-1]):
+        bad = ~((outer >= inner).all(-1) & (inner[..., :-1] >= outer[..., 1:]).all(-1)
+                & (inner[..., -1:] >= 0).all(-1))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise InvalidCascadeError(f"S[{i + 1}][{j + 1}] = {outer[i, j].tolist()} over "
+                                      f"{inner[i, j].tolist()} is not a horizontal strip")
 
 
-def _check_table(S: list[list[list[int]]]) -> None:
-    """Raise unless every shape is a partition and contains its upper and
-    left neighbours as horizontal strips: outer_1 >= inner_1 >= outer_2 >=
-    ... >= outer_n >= inner_n >= 0."""
-    for i in range(1, len(S)):
-        for j in range(1, len(S)):
-            for inner in (S[i - 1][j], S[i][j - 1]):
-                seq = [v for pair in zip(S[i][j], inner) for v in pair] + [0]
-                if any(a < b for a, b in zip(seq, seq[1:])):
-                    raise InvalidCascadeError(
-                        f"S[{i}][{j}] = {S[i][j]} over {inner} is not a horizontal strip")
-
-
-def _tableau(chain: list[list[int]]) -> list[Counter]:
+def _tableau(chain: np.ndarray) -> list[Counter]:
     """Row k -> multiplicity of each label in a chain of shapes 0..n."""
-    return [Counter({i: c[k] - p[k] for i, (p, c) in enumerate(zip(chain, chain[1:]), 1)
-                     if c[k] != p[k]})
-            for k in range(len(chain) - 1)]
+    return [Counter({i: c for i, c in enumerate(row, 1) if c})
+            for row in np.diff(chain, axis=0).T.tolist()]
 
 
 def _chain(tableau: list[Counter]) -> list[list[int]]:
@@ -99,6 +99,21 @@ def _chain(tableau: list[Counter]) -> list[list[int]]:
     for i in range(1, len(tableau) + 1):
         chain.append([p + row[i] for p, row in zip(chain[-1], tableau)])
     return chain
+
+
+def _peel(S: np.ndarray) -> np.ndarray:
+    """Fill the (n+1) x (n+1) table S below its last row and column by the
+    inverse rule, diagonal by diagonal from (n, n) back, and return W."""
+    n = S.shape[0] - 1
+    flat = S.reshape((n + 1) ** 2, n)
+    w = np.zeros((n + 1) ** 2, dtype=np.int64)
+    for a, b in reversed(list(_diagonals(n, n))):
+        lam, mu, nu = flat[a:b:n], flat[a - n - 1:b - n - 1:n], flat[a - 1:b - 1:n]
+        w[a:b:n] = lam[:, 0] - np.maximum(mu[:, 0], nu[:, 0])
+        rho = np.minimum(mu, nu)
+        rho[:, :-1] += np.maximum(mu[:, 1:], nu[:, 1:]) - lam[:, 1:]
+        flat[a - n - 2:b - n - 2:n] = rho
+    return w.reshape(n + 1, n + 1)[1:, 1:]
 
 
 @dataclass
@@ -117,49 +132,54 @@ def cascade_grow(W, check: bool = True) -> CascadeResult:
             or not np.issubdtype(W.dtype, np.integer) or (W < 0).any()):
         raise ValueError("W must be a square nonnegative integer matrix")
     n = W.shape[0]
-    S = _grow(W.tolist(), n)
+    S = _shapes(W, n)
     if check:
         _check_table(S)
-    half = [min(max(s // 2, 0), n) for s in range(-n, 3 * n + 1)]  # half[s + n]: s // 2 in 0..n
-    trace = {(x, t): S[half[t + x + 1 + n]][half[t - x + 1 + n]][0]
-             for t in range(1, 2 * n) for x in range(-n, n + 1)}
-    return CascadeResult(partition=tuple(S[n][n]),
-                         left_tableau=_tableau([row[n] for row in S]),
-                         right_tableau=_tableau(S[n]), level1_trace=trace)
+    # level 1 at (x, t) is part 1 of S[i][j], i, j = (t +- x + 1) // 2 clamped to 0..n
+    keys = [(x, t) for t in range(1, 2 * n) for x in range(-n, n + 1)]
+    t, x = np.arange(1, 2 * n)[:, None], np.arange(-n, n + 1)
+    h = S[np.clip((t + x + 1) // 2, 0, n), np.clip((t - x + 1) // 2, 0, n), :1]
+    return CascadeResult(partition=tuple(S[n, n].tolist()),
+                         left_tableau=_tableau(S[:, n]), right_tableau=_tableau(S[n]),
+                         level1_trace=dict(zip(keys, h.ravel().tolist())))
 
 
 def cascade_invert(result: CascadeResult, check: bool = True) -> np.ndarray:
     """Reconstruct the integer matrix from a final cascade state.
 
     Raises InvalidCascadeError unless both tableaux end in ``result.partition``,
-    every recovered entry is nonnegative, and regrowing the recovered matrix
-    gives the same tableaux; ``check`` also verifies the partition and strip
-    conditions at every peeled cell."""
+    their counts fit in 64 bits, every recovered entry is nonnegative, and
+    regrowing the recovered matrix gives the same tableaux; ``check`` also
+    verifies the partition and strip conditions at every peeled cell."""
     left, right = result.left_tableau, result.right_tableau
     n = len(left)
     a, b = _chain(left), _chain(right)
     if not a[-1] == b[-1] == list(result.partition):
         raise InvalidCascadeError("the tableaux do not end in the partition")
+    # the growth keeps the total, and up to the int64 limit it is exact
+    total = sum(result.partition)
+    too_large = "tableau counts too large for 64-bit integers"
+    if total > _INT64_LIMIT:
+        raise InvalidCascadeError(too_large)
     # column n holds the left chain and row n the right chain; peeling the
-    # cells from (n, n) fills in the rest
-    S = [[None] * n + [a[i]] for i in range(n)] + [b]
-    W = [[0] * n for _ in range(n)]
-    for i in range(n, 0, -1):
-        for j in range(n, 0, -1):
-            lam, mu, nu = S[i][j], S[i - 1][j], S[i][j - 1]
-            w = lam[0] - max(mu[0], nu[0])
-            if w < 0:
-                raise InvalidCascadeError(f"negative entry {w} recovered at ({i}, {j})")
-            W[i - 1][j - 1] = w
-            S[i - 1][j - 1] = ([max(p, q) + min(c, d) - r
-                                for p, q, c, d, r in zip(mu[1:], nu[1:], mu, nu, lam[1:])]
-                               + [min(mu[-1], nu[-1])])
+    # diagonals from (n, n) fills in the rest
+    S = np.zeros((n + 1, n + 1, n), dtype=np.int64)
+    try:
+        S[:, n], S[n] = a, b
+    except OverflowError:
+        raise InvalidCascadeError(too_large) from None
+    W = _peel(S)
+    if (W < 0).any():
+        i, j = np.argwhere(W < 0)[0]
+        raise InvalidCascadeError(f"negative entry {W[i, j]} recovered at ({i + 1}, {j + 1})")
     if check:
         _check_table(S)
-    T = _grow(W, n)
-    if _tableau([row[n] for row in T]) != left or _tableau(T[n]) != right:
+    if sum(W.ravel().tolist()) != total:
         raise InvalidCascadeError("the tableaux are not in the image of the growth")
-    return np.array(W, dtype=np.int64).reshape(n, n)
+    T = _shapes(W, n)
+    if _tableau(T[:, n]) != left or _tableau(T[n]) != right:
+        raise InvalidCascadeError("the tableaux are not in the image of the growth")
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +197,6 @@ def complete_homogeneous(max_degree: int, a) -> list:
         for m in range(1, max_degree + 1):
             h[m] = h[m] + v * h[m - 1]
     return h
-
-
-def _det_exact(M: list[list[Fraction]]) -> Fraction:
-    n = len(M)
-    M = [row[:] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            f = M[r][col] * inv
-            if f:
-                for cc in range(col, n):
-                    M[r][cc] -= f * M[col][cc]
-    return det
 
 
 def schur_poly(lam, a, exact: bool = False):
@@ -220,7 +219,10 @@ def schur_poly(lam, a, exact: bool = False):
 
     M = [[hh(lam[j] - (j + 1) + (k + 1)) for k in range(N)] for j in range(N)]
     if exact:
-        return _det_exact(M)
+        # scale each row to integers by the lcm of its denominators
+        dens = [math.lcm(*(v.denominator for v in row)) for row in M]
+        return Fraction(_int_det([[int(v * d) for v in row] for row, d in zip(M, dens)]),
+                        math.prod(dens))
     return float(np.linalg.det(np.array(M, dtype=float)))
 
 

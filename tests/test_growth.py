@@ -14,6 +14,7 @@ from tilings.aztec import extract_dr_paths, zigzag_config
 from tilings.growth import (
     _bessel_tail,
     _check_bessel_tail,
+    _shapes,
     aztec_partition,
     bessel_kernel,
     corner_growth_step,
@@ -57,6 +58,13 @@ def test_lpp_matches_bruteforce():
     for shape in [(2, 6), (3, 5), (1, 7)]:
         W = rng.integers(0, 5, size=shape)
         assert lpp_value(W)[-1, -1] == lpp_bruteforce(W)
+    # the bordered part-1 table of the shape kernel, at every corner
+    for M, N in [(2, 6), (5, 3), (1, 7), (6, 1), (1, 1)]:
+        W = rng.integers(0, 5, size=(M, N))
+        S = _shapes(W, 1)
+        assert S.shape == (M + 1, N + 1, 1) and not S[0].any() and not S[:, 0].any()
+        assert all(S[i, j, 0] == lpp_bruteforce(W[:i, :j])
+                   for i in range(1, M + 1) for j in range(1, N + 1))
 
 
 def test_lpp_batched_equals_per_slice():
@@ -79,7 +87,8 @@ def test_lpp_rejects_bad_input():
     W[2, 1, 0] = -1
     with pytest.raises(ValueError):
         lpp_value(W)
-    for W in (np.array([[1.5]]), np.array([[1, 2], [3, 4.7]]), np.array([[1, 2], [3, 4.0]])):
+    for W in (np.array([[1.5]]), np.array([[1, 2], [3, 4.7]]), np.array([[1, 2], [3, 4.0]]),
+              np.array([[2**62, 2**62]]), np.full((3, 2, 2), 2**60)):
         with pytest.raises(ValueError):
             lpp_value(W)
 
@@ -160,10 +169,9 @@ def test_corner_growth_matches_lpp_coupling():
         return s
 
     c_dyn = Counter(grown() for _ in range(R))
-    c_lpp = Counter()
-    for _ in range(R):
-        W = sample_geometric(q, (n + 1, n + 1), rng)
-        c_lpp[corner_shape_from_lpp(lpp_value(W), n)] += 1
+    # one (R, n+1, n+1) draw reads the stream as R (n+1, n+1) draws
+    W = sample_geometric(q, (R, n + 1, n + 1), rng)
+    c_lpp = Counter(corner_shape_from_lpp(G, n) for G in lpp_value(W))
     chi = 0.0
     dof = 0
     pooled_a = pooled_b = 0

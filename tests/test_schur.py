@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2 as chi2_dist
 
-from tilings.growth import lpp_value, sample_geometric
+from tilings.growth import _shapes, lpp_value, sample_geometric
 from tilings.schur import (
     InvalidCascadeError,
     _check_table,
-    _grow,
+    _peel,
     cascade_grow,
     cascade_invert,
     complete_homogeneous,
@@ -359,8 +359,28 @@ def invert_by_simulation(c: Cascade, check: bool = False) -> np.ndarray:
     return W
 
 
+def _grow(W: list[list[int]], n: int) -> list[list[list[int]]]:
+    """Oracle: the shape table S[i][j], 0 <= i, j <= n, by the forward local
+    rule one cell at a time on lists."""
+    zero = [0] * n
+    S = [[zero] * (n + 1)]
+    for i in range(1, n + 1):
+        up, row = S[i - 1], [zero]
+        for j in range(1, n + 1):
+            mu, nu, rho = up[j], row[j - 1], up[j - 1]
+            row.append([max(mu[0], nu[0]) + W[i - 1][j - 1]]
+                       + [max(a, b) + min(c, d) - r
+                          for a, b, c, d, r in zip(mu[1:], nu[1:], mu, nu, rho)])
+        S.append(row)
+    return S
+
+
 def _assert_matches_oracle(W):
     res = cascade_grow(W, check=True)
+    assert all(type(v) is int for v in res.partition)
+    assert all(type(v) is int for v in res.level1_trace.values())
+    assert all(type(k) is int and type(v) is int
+               for row in res.left_tableau + res.right_tableau for k, v in row.items())
     c, lam, left, right, trace = grow_by_simulation(W)
     assert res.partition == lam
     for got, want in ((res.left_tableau, left), (res.right_tableau, right)):
@@ -383,8 +403,30 @@ def test_cascade_matches_simulation_oracle():
     _assert_matches_oracle(sample_geometric(0.5, (16, 16), rng))
 
 
+def test_shapes_match_list_oracle():
+    rng = np.random.default_rng(8)
+    for n in (*range(1, 7), 16):
+        for lead in ((), (3,), (2, 2)):
+            W = rng.integers(0, 5, size=(*lead, n, n))
+            S = _shapes(W, n)
+            assert S.shape == (*lead, n + 1, n + 1, n) and S.dtype == np.int64
+            for idx in np.ndindex(*lead):
+                assert S[idx].tolist() == _grow(W[idx].tolist(), n)
+    assert _shapes(np.zeros((0, 0), dtype=np.int64), 0).tolist() == _grow([], 0)
+
+
+def test_peel_rebuilds_table_from_boundary_chains():
+    for w in itertools.product(range(3), repeat=4):
+        W = np.array(w).reshape(2, 2)
+        S = _shapes(W, 2)
+        P = np.zeros_like(S)
+        P[:, 2], P[2] = S[:, 2], S[2]
+        assert (_peel(P) == W).all() and (P == S).all()
+
+
 def test_cascade_grow_rejects_malformed_input():
-    for W in ([[1.5]], [[-0.5]], 5, [[1, 2], [3, 4.0]], [[1, -1], [0, 0]], [[1, 2]]):
+    for W in ([[1.5]], [[-0.5]], 5, [[1, 2], [3, 4.0]], [[1, -1], [0, 0]], [[1, 2]],
+              np.full((2, 2), 2**62)):
         with pytest.raises(ValueError):
             cascade_grow(W)
 
@@ -519,6 +561,24 @@ def test_invert_rejects_tampered_state():
         cascade_invert(res, check=False)
 
 
+def test_invert_rejects_counts_beyond_int64():
+    # one label of multiplicity m: the state of [[m]], whose table needs m
+    # below the int64 limit of the growth
+    states = []
+    for m in (2**62, 2**70):
+        res = cascade_grow(np.array([[1]]))
+        res.partition, res.left_tableau[0][1], res.right_tableau[0][1] = (m,), m, m
+        states.append(res)
+    # a left chain that passes through 2**70 on its way to the partition (1, 0)
+    res = cascade_grow(np.array([[1, 0], [0, 0]]))
+    res.left_tableau[0][1], res.left_tableau[0][2] = 2**70, 1 - 2**70
+    states.append(res)
+    for res in states:
+        for check in (False, True):
+            with pytest.raises(InvalidCascadeError, match="too large"):
+                cascade_invert(res, check=check)
+
+
 def test_check_rejects_broken_shape_tables():
     _check_table(_grow([[1, 2], [0, 3]], 2))
     for S in ([[[0], [0]], [[0], [-1]]],                       # a negative part
@@ -620,10 +680,8 @@ def test_shape_law_matches_schur_measure():
     rng = np.random.default_rng(4)
     a = b = [0.4, 0.3]
     R = 30000
-    counts = Counter()
-    for _ in range(R):
-        W = sample_schur_matrix(2, a, b, rng)
-        counts[cascade_grow(W, check=False).partition] += 1
+    W = np.stack([sample_schur_matrix(2, a, b, rng) for _ in range(R)])
+    counts = Counter(map(tuple, _shapes(W, 2)[:, 2, 2].tolist()))
     chi = 0.0
     dof = 0
     pooled_e = pooled_o = 0.0
