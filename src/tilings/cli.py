@@ -408,6 +408,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError) as e:
         print(f"error: invalid-input: {e}", file=sys.stderr)
         return 2
+    except (ope.ConstructionError, ope.KernelConditionError) as e:
+        print(f"error: numerical-failure: {e}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -122,9 +122,14 @@ def lpp_value(W: np.ndarray) -> np.ndarray:
 
 def lpp_cdf_exact(M: int, N: int, q: float, t: int) -> float:
     """P[G(M,N) <= t] via the Krawtchouk kernel with M particles on the
-    window {0, ..., t+N+M-1} and weight parameter q."""
+    window {0, ..., t+N+M-1} and weight parameter q.  At q = 0, or with no
+    cells (M N = 0), G = 0."""
+    if not 0 <= q < 1:
+        raise ValueError("q must lie in [0, 1)")
     if t < 0:
         return 0.0
+    if q == 0 or M * N == 0:
+        return 1.0
     K = t + N + M - 1
     system = ope.build_orthonormal(ope.DiscreteWeight.krawtchouk(K, q), M)
     kernel = ope.cd_kernel(system)

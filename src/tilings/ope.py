@@ -3,9 +3,11 @@
 Weights (Krawtchouk, Hahn, associated Hahn) are evaluated in log-space via
 log-gamma so that factorial-heavy parameters never overflow.  Orthonormal
 systems are built from three-term recurrences run directly on the weighted
-functions phi_n(x) = p_n(x) * sqrt(w(x)), with per-site binary-exponent
-tracking so values that pass through the subnormal range are still produced
-correctly.  The rank-N projection kernel
+functions phi_n(x) = p_n(x) * sqrt(w(x)).  The Krawtchouk table keeps a
+binary exponent per site, so values that pass through the subnormal range are
+still produced correctly; its exponent is checked only when a computed bound
+on the drift since the last check says a value could leave the normal range,
+so most degrees cost only their arithmetic.  The rank-N projection kernel
 
     K(x, y) = sum_{n<N} phi_n(x) phi_n(y)
 
@@ -227,37 +229,75 @@ class OrthonormalSystem:
         return math.exp(self.log_kappa(n))
 
 
+# A check leaves the pair (u, v) of _phi_table with |log2 m| <= 512, and the
+# next check comes before the steps since could have moved m by more than this
+# many bits: so m stays normal, with 4 bits spare, and every intermediate finite.
+_DRIFT = 1022 - 512 - 4
+
+
 def _phi_table(x: np.ndarray, logw: np.ndarray, a: np.ndarray, b: np.ndarray,
                nrows: int) -> np.ndarray:
-    """Run the three-term recurrence on phi with binary-exponent tracking.
+    """Run the three-term recurrence on phi with a binary exponent per site.
 
     The pair (phi_{n-1}, phi_n) at each site is kept as (u, v) * 2^E with E
-    an integer array; the pair is rescaled whenever its magnitude leaves
-    [2^-512, 2^512], so starting values far below the double underflow
-    threshold still grow back into range exactly when they should.
+    an integer array, so starting values far below the double underflow
+    threshold still grow back into range exactly when they should.  With
+    m = max(|u|, |v|) and s_n = max(|x_0 - b_n|, |x_K - b_n|), step n grows m
+    by at most max(1, (s_n + a_{n-1}) / a_n) and shrinks it by at most
+    max(1, (s_n + a_n) / a_{n-1}) (the first step cannot shrink it).  The log2
+    of these bounds is summed from the last check, and the pair is checked
+    only before a step that could carry m (or the step's numerator, at most
+    (s_n + a_{n-1}) m) more than _DRIFT bits from it: then each site where m
+    left [2^-512, 2^512] is rescaled by 2^512 or 2^-512.  Scaling by a power of
+    two is exact for normal doubles, so the table is the one a check at every
+    degree gives.  Each step writes v straight into its row; a block of rows
+    between checks gets its exponent E in one pass when the block closes.
     """
     LIM = 512
     lw2 = 0.5 * logw / math.log(2.0)
     E = np.floor(lw2).astype(np.int64)
-    v = np.exp2(lw2 - E)
-    u = np.zeros_like(v)
     out = np.empty((nrows, x.size))
-    out[0] = np.ldexp(v, E.astype(np.int32))
-    for n in range(nrows - 1):
-        t = (x - b[n]) * v
+    out[0] = np.exp2(lw2 - E)
+    u, v = np.zeros_like(out[0]), out[0]
+    tmp = np.empty_like(u)
+    a_prev = np.concatenate(([0.0], a))[:-1]   # a_{n-1}; step 0 has no u term
+    s = np.maximum(np.abs(x[0] - b[:-1]), np.abs(x[-1] - b[:-1]))
+    with np.errstate(divide="ignore"):
+        grow = np.log2(np.maximum(1.0, (s + a_prev) / a))
+        shrink = np.log2(np.maximum(1.0, (s + a) / a_prev))
+        numer = np.maximum(grow, np.log2(s + a_prev))
+    shrink[:1] = 0.0
+
+    def close(block):
+        # |v| reaches 2^1018 inside a block, so clipping E anywhere above
+        # -(1074 + 1022) could turn a true value below 2^-1074 into a nonzero one
+        np.ldexp(block, np.clip(E, -4000, 4000).astype(np.int32), out=block)
+
+    start, up, down = 0, 0.0, 0.0
+    for n, (g, h, d) in enumerate(zip(grow.tolist(), numer.tolist(), shrink.tolist())):
+        if up + h > _DRIFT or down + d > _DRIFT:
+            m = np.maximum(np.abs(u), np.abs(v))
+            shift = np.zeros_like(E)
+            shift[m > 2.0**LIM] = -LIM
+            shift[(m > 0) & (m < 2.0**-LIM)] = LIM
+            if shift.any():
+                u = np.ldexp(u, shift.astype(np.int32))
+                v = np.ldexp(v, shift.astype(np.int32))
+                close(out[start:n + 1])
+                E -= shift
+                start = n + 1
+            up = down = 0.0
+        row = out[n + 1]
+        np.subtract(x, b[n], out=row)
+        row *= v
         if n > 0:
-            t -= a[n - 1] * u
-        t /= a[n]
-        u, v = v, t
-        m = np.maximum(np.abs(u), np.abs(v))
-        shift = np.zeros_like(E)
-        shift[m > 2.0**LIM] = -LIM
-        shift[(m > 0) & (m < 2.0**-LIM)] = LIM
-        if shift.any():
-            u = np.ldexp(u, shift.astype(np.int32))
-            v = np.ldexp(v, shift.astype(np.int32))
-            E -= shift
-        out[n + 1] = np.ldexp(v, np.clip(E, -2000, 2000).astype(np.int32))
+            np.multiply(a[n - 1], u, out=tmp)
+            row -= tmp
+        row /= a[n]
+        u, v = v, row
+        up += g
+        down += d
+    close(out[start:])
     return out
 
 
@@ -277,8 +317,10 @@ def build_orthonormal(weight: DiscreteWeight, N: int,
     mx = logw.max()
     log_total = mx + math.log(np.exp(logw - mx).sum())
     if weight.family == "krawtchouk":
-        # the closed-form recurrence run on phi is stable for the degree
-        # ranges used here and is far cheaper than Lanczos at large windows
+        # the closed-form recurrence run on phi is far cheaper than Lanczos
+        # at large windows, but not stable at every rank: at K = 2000,
+        # p = 0.4, ranks 600 and 971 pass validation, while 972 (residual
+        # 1.1e-9) and 1000 (1.8e-7) raise ConstructionError
         a, b = krawtchouk_recurrence(weight.size, weight.params[0], nrows)
         x = np.arange(weight.size + 1, dtype=float)
         table = _phi_table(x, logw - log_total, a, b, nrows)

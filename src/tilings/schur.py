@@ -208,6 +208,9 @@ def schur_poly(lam, a, exact: bool = False):
     N = len(a)
     if len([x for x in lam if x > 0]) > N:
         return Fraction(0) if exact else 0.0
+    if N == 0:
+        # the empty determinant: s_lambda of no variables, lambda empty
+        return Fraction(1) if exact else 1.0
     lam = lam + (0,) * (N - len(lam))
     if exact:
         a = [Fraction(v) for v in a]

@@ -158,6 +158,15 @@ def test_variance_scan_past_the_support_is_invalid_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: invalid-input: site outside")
 
 
+def test_failed_orthonormal_build_exits_2(capsys):
+    # the Krawtchouk recurrence fails validation at K = 2000, p = 0.4, rank 1000
+    assert run(["ope-sample", "--family", "krawtchouk", "--params", "K=2000,p=0.4",
+                "--N", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical-failure: orthonormality residual")
+    assert err.count("\n") == 1
+
+
 def test_lis_check_json(capsys):
     assert run(["lis-check", "--alpha", "4", "--n", "6", "--draws", "3000",
                 "--seed", "11"]) == 0

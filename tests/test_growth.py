@@ -123,6 +123,18 @@ def test_lpp_cdf_zero_threshold():
         assert abs(lpp_cdf_exact(M, N, q, 0) - (1 - q) ** (M * N)) < 1e-12
 
 
+def test_lpp_cdf_degenerate_inputs():
+    # G = 0 when q = 0 (sample_geometric's all-zero draw) or with no cells
+    for (M, N, q) in [(3, 3, 0.0), (1, 1, 0.0), (0, 3, 0.5), (3, 0, 0.5), (0, 0, 0.0)]:
+        assert lpp_cdf_exact(M, N, q, 0) == lpp_cdf_exact(M, N, q, 2) == 1.0
+        assert lpp_cdf_exact(M, N, q, -1) == 0.0
+        assert lpp_value(sample_geometric(q, (M, N), np.random.default_rng(0))).max(
+            initial=0) == 0
+    for q in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\)"):
+            lpp_cdf_exact(3, 3, q, 2)
+
+
 def test_lpp_cdf_monotone_to_one():
     vals = [lpp_cdf_exact(2, 2, 0.4, t) for t in range(14)]
     assert all(a <= b + 1e-13 for a, b in zip(vals, vals[1:]))

@@ -13,6 +13,7 @@ from tilings.ope import (
     ConstructionError,
     DiscreteWeight,
     KernelConditionError,
+    _phi_table,
     build_orthonormal,
     cd_kernel,
     christoffel_darboux_matrix,
@@ -71,6 +72,35 @@ def sequential_dpp_oracle(kernel, rng):
         chosen[i] = x
     chosen.sort()
     return chosen
+
+
+def phi_table_oracle(x, logw, a, b, nrows):
+    """Oracle: the Krawtchouk phi recurrence with the exponent checked at
+    every degree; the pair (u, v) * 2^E is rescaled whenever its magnitude
+    leaves [2^-512, 2^512]."""
+    LIM = 512
+    lw2 = 0.5 * logw / math.log(2.0)
+    E = np.floor(lw2).astype(np.int64)
+    v = np.exp2(lw2 - E)
+    u = np.zeros_like(v)
+    out = np.empty((nrows, x.size))
+    out[0] = np.ldexp(v, E.astype(np.int32))
+    for n in range(nrows - 1):
+        t = (x - b[n]) * v
+        if n > 0:
+            t -= a[n - 1] * u
+        t /= a[n]
+        u, v = v, t
+        m = np.maximum(np.abs(u), np.abs(v))
+        shift = np.zeros_like(E)
+        shift[m > 2.0**LIM] = -LIM
+        shift[(m > 0) & (m < 2.0**-LIM)] = LIM
+        if shift.any():
+            u = np.ldexp(u, shift.astype(np.int32))
+            v = np.ldexp(v, shift.astype(np.int32))
+            E -= shift
+        out[n + 1] = np.ldexp(v, np.clip(E, -2000, 2000).astype(np.int32))
+    return out
 
 
 def hahn_closed_form(N: int, alpha: float, beta: float, nmax: int):
@@ -214,6 +244,25 @@ def test_orthonormality_small_and_large():
     for (N, alpha, beta, n) in [(120, 4, 2, 60), (60, 0, 0, 30)]:
         s = build_orthonormal(DiscreteWeight.hahn(N, alpha, beta), n)
         assert s.orthonormality_residual < 1e-10
+
+
+@pytest.mark.parametrize("K, p, nrows", [
+    (1661, 0.5, 257), (1761, 0.5, 257), (1861, 0.5, 257), (2000, 0.5, 501),
+    (2000, 0.5, 1001), (4000, 0.5, 1001), (5000, 0.001, 41), (5000, 0.01, 201),
+    (3000, 0.02, 301), (10000, 0.1, 301), (20000, 0.3, 101), (200, 0.3, 151),
+    (30, 0.4, 11), (5, 0.4, 4), (30, 0.4, 1), (30, 0.4, 2), (0, 0.4, 1),
+])
+def test_phi_table_matches_per_degree_oracle(K, p, nrows):
+    # the drift-budget check must give the table of a check at every degree,
+    # bit for bit, including where values pass through the subnormal range
+    logw = DiscreteWeight.krawtchouk(K, p).log_weight()
+    logw -= logw.max() + math.log(np.exp(logw - logw.max()).sum())
+    a, b = krawtchouk_recurrence(K, p, nrows)
+    x = np.arange(K + 1, dtype=float)
+    table = _phi_table(x, logw, a, b, nrows)
+    assert table.shape == (nrows, K + 1)
+    assert np.isfinite(table).all()
+    assert np.array_equal(table, phi_table_oracle(x, logw, a, b, nrows))
 
 
 def test_full_rank_kernel_is_identity():

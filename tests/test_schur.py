@@ -614,6 +614,19 @@ def test_schur_too_long_partition_vanishes():
     assert schur_poly((1, 1, 1), [0.5, 0.5]) == 0.0
 
 
+def test_schur_of_no_variables():
+    # s_lambda() is the empty determinant, 1, when lambda has no nonzero part
+    for lam in [(), (0,), (0, 0)]:
+        assert schur_poly(lam, []) == 1.0 and isinstance(schur_poly(lam, []), float)
+        assert schur_poly(lam, [], exact=True) == Fraction(1)
+        assert isinstance(schur_poly(lam, [], exact=True), Fraction)
+        assert schur_measure_prob(lam, [], []) == 1.0
+        assert schur_measure_prob(lam, [], [], exact=True) == Fraction(1)
+    assert schur_poly((1,), []) == 0.0
+    assert schur_poly((2, 1), [], exact=True) == Fraction(0)
+    assert schur_measure_prob((1,), [], []) == 0.0
+
+
 def test_hook_content_matches_principal_specialization():
     rng = np.random.default_rng(3)
     for _ in range(10):
