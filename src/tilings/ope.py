@@ -235,6 +235,30 @@ class OrthonormalSystem:
 _DRIFT = 1022 - 512 - 4
 
 
+def _ldexp_columns(block: np.ndarray, e: np.ndarray) -> None:
+    """In place, ``block = np.ldexp(block, e)`` with ``e`` per column, bit for
+    bit, for finite ``block``.
+
+    When every e >= -1074, as in the p = 1/2 tables up to K = 2000 at least,
+    this is the in-place np.ldexp.  Otherwise (small p, where most sites lie
+    far below the double range) a product by the double 2^e stands in for it.
+    It is rounded once, as ldexp's result is, so it is ldexp's result
+    wherever 2^e is a double (-1074 <= e <= 1023), and where e <= -2099:
+    there |block| < 2^1024 puts the exact result below 2^-1075, which rounds
+    to +-0, and so does the product by 2^e = 0.  Only the columns with e in
+    between, or above 1023, go through np.ldexp, which is an order of
+    magnitude slower per element when its result is subnormal or zero.
+    """
+    if e.min() >= -1074:
+        np.ldexp(block, e, out=block)
+        return
+    slow = ((e > -2099) & (e < -1074)) | (e > 1023)
+    cols = np.flatnonzero(slow)
+    fixed = np.ldexp(block[:, cols], e[cols])
+    block *= np.ldexp(1.0, np.where(slow, 0, e))
+    block[:, cols] = fixed
+
+
 def _phi_table(x: np.ndarray, logw: np.ndarray, a: np.ndarray, b: np.ndarray,
                nrows: int) -> np.ndarray:
     """Run the three-term recurrence on phi with a binary exponent per site.
@@ -271,7 +295,7 @@ def _phi_table(x: np.ndarray, logw: np.ndarray, a: np.ndarray, b: np.ndarray,
     def close(block):
         # |v| reaches 2^1018 inside a block, so clipping E anywhere above
         # -(1074 + 1022) could turn a true value below 2^-1074 into a nonzero one
-        np.ldexp(block, np.clip(E, -4000, 4000).astype(np.int32), out=block)
+        _ldexp_columns(block, np.clip(E, -4000, 4000).astype(np.int32))
 
     start, up, down = 0, 0.0, 0.0
     for n, (g, h, d) in enumerate(zip(grow.tolist(), numer.tolist(), shrink.tolist())):

@@ -7,11 +7,14 @@ compass direction, and fill each empty 2x2 block with a vertical pair with
 probability q (horizontal otherwise).  The result after n stages is an exact
 sample for order n.
 
-Each phase works on whole arrays: the state is two boolean anchor grids
-(horizontal and vertical dominoes) over A_n's box, with a replica axis, so
-``sample_aztec(measure, rng, size=R)`` draws R tilings in one pass.  A
-single draw (``size=None``) takes the same values from the stream as the
-dict-per-domino shuffle kept in the tests as its reference.
+The state is a pair of bitboards, Python ints with one bit per square and
+replica (anchors of horizontal and of vertical dominoes), and each phase is
+a few shifts and bitwise operations on whole boards.  The board grows by one
+row at each end per stage, so stage m costs time in proportion to the area
+of A_m, and ``sample_aztec(measure, rng, size=R)`` draws R tilings in one
+pass, the replicas interleaved bit by bit.  A single draw (``size=None``)
+takes the same values from the stream as the dict-per-domino shuffle kept
+in the tests as its reference.
 
 A brute-force weighted enumerator (exact rational weights) backs the
 statistical tests for small orders.
@@ -59,14 +62,39 @@ class AztecMeasure:
         return cls(n=n, w=math.sqrt(q / (1.0 - q)))
 
 
-def _box_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Over the squares of A_n's box in the shuffle's flat layout, as
-    columns that broadcast over replicas: where x + y is even, where it is
-    odd, and the least order m with the square in A_m."""
-    x = np.arange(-n, n, dtype=np.int32)
-    even = ((x[:, None] + x) % 2 == 0).reshape(-1, 1)
-    d = np.abs(2 * x + 1)
-    return even, ~even, ((d[:, None] + d) // 2).reshape(-1, 1)
+def _tile(pattern: int, stride: int, count: int) -> int:
+    """``count`` copies of ``pattern``, copy c shifted up by c * stride bits.
+
+    Built by doubling, so the cost is linear in the size of the result."""
+    out, width = 0, stride
+    while count:
+        if count & 1:
+            out = (out << width) | pattern
+        pattern |= pattern << width
+        width *= 2
+        count >>= 1
+    return out
+
+
+def _unpack(value: int, nbits: int) -> np.ndarray:
+    """Bits 0..nbits-1 of a nonnegative int as a bool array."""
+    raw = np.frombuffer(value.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=nbits, bitorder="little").view(bool)
+
+
+def _pack(bits: np.ndarray) -> int:
+    """The int whose bit b is ``bits[b]``."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+# Up to this many bits, a stage's board scatters its coins bit by bit in
+# Python; above it, through one unpack and pack of the board in numpy.  The
+# loop costs a few int operations per block, the numpy round trip ~10 us per
+# stage whatever the board, so the loop wins on the small boards of A_4-sized
+# draws: +10% items/s on the perfbench `aztec` workload, against a cut-off of
+# 0, in 10 of 10 alternating runs.  Cut-offs of 512, 1024 and 2048 drew A_8
+# to A_48 equally fast within noise; 4096 was slower at A_24 and A_32.
+_LOOP_BITS = 1024
 
 
 def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
@@ -74,85 +102,104 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
     """Draw one exact sample via n shuffle stages, or a list of ``size``
     samples drawn in one pass.
 
-    The state is two boolean anchor grids, H (horizontal dominoes) and V
-    (vertical), over the squares x, y in -n..n-1 of A_n's box.  They are
-    flattened row by row, with the replica last: square (x, y) of replica r
-    is [(y + n) * 2n + x + n, r], so a step in x is a step of 1 along the
-    first axis and a step in y one of 2n.  Stage m works on the rows of
-    A_m.  There a domino of A_{m-1} anchored at (x, y) is N (horizontal) or
-    E (vertical) when x + y + m - 1 is even, and S or W when it is odd.
-    Kinds are recomputed from the colouring of the current order at every
-    stage, so stage k is the order-k sample drawn from the same stream.
+    The state is two bitboards, Python ints H (anchors of horizontal
+    dominoes) and V (vertical).  Square (x, y) of replica r is bit
+    ((y + m) * 2n + x + n) * R + r at stage m: rows of 2n squares, bottom row
+    first, and the replica fastest.  A step in x is a shift by R bits and a
+    step in y one by 2nR.  The board holds only the 2m rows of A_m: each
+    stage begins by shifting both ints up one row, so a stage costs time in
+    proportion to the area of A_m, not of A_n.  In these coordinates a domino
+    of A_{m-1} anchored at (x, y) is N (horizontal) or E (vertical) when
+    x + y + m - 1 is even, and S or W when it is odd, and that parity does
+    not depend on m: one mask serves every stage.  Kinds are recomputed from
+    the colouring of the current order at every stage, so stage k is the
+    order-k sample drawn from the same stream.
 
     A single draw (``size=None``) takes one ``rng.random()`` value per
     empty block, blocks in row-major order.  A batch takes each stage's
     values block position by block position, replica by replica within a
-    position, so its replicas are not the tilings that ``size`` single
-    calls would draw.
+    position (ascending bit order), so its replicas are not the tilings that
+    ``size`` single calls would draw.
     """
     n, q = measure.n, measure.q
     R = 1 if size is None else size
-    W = 2 * n  # row length
-    H = np.zeros((W * W, R), dtype=bool)
-    V = np.zeros_like(H)
-    even_xy, odd_xy, level = _box_masks(n)
+    W = 2 * n  # row length in squares
+    ROW = W * R  # row length in bits
+    square = (1 << R) - 1  # one square, every replica
+    row = (1 << ROW) - 1
+    # x + y + m - 1 even: on row 0, the squares with x + n = n + 1 mod 2
+    even = _tile(square << (n + 1) % 2 * R, 2 * R, n)
+    even = _tile(even | (even ^ row) << ROW, 2 * ROW, n)
+    # Hillis-Steele scan steps: step s xors in the value s squares to the
+    # left, which lies in the same row where x + n >= s
+    scan = [(s * R, _tile(row >> s * R << s * R, ROW, W))
+            for s in (1 << t for t in range(max(W - 1, 0).bit_length()))]
+    H = V = diamond = 0  # diamond: the squares of A_m
 
     for m in range(1, n + 1):
-        rows = slice((n - m) * W, (n + m) * W)
-        h, v = H[rows], V[rows]  # views
-        even = (even_xy if m % 2 else odd_xy)[rows]  # x + y + m - 1 even
+        H <<= ROW
+        V <<= ROW
+        if m == 1:
+            diamond = (square << R | square) << (n - 1) * R
+            diamond |= diamond << ROW
+        else:  # A_m is A_{m-1} grown by one square in each axis direction
+            diamond <<= ROW
+            diamond |= (diamond << R) | (diamond >> R) | (diamond << ROW) | (diamond >> ROW)
 
         # destruction and sliding: N up and S down, E right and W left,
         # except that an N right below an S, or an E right left of a W,
         # would collide and are dropped.  The dominoes of A_{m-1} keep off
-        # the outer rows of A_m's rows and off the box's outer columns, so
-        # no shift loses a domino or wraps it to another row.
-        up = h & even  # N; h keeps S
-        h ^= up
-        bad = up[:-W] & h[W:]
-        up[:-W] ^= bad
-        h[W:] ^= bad
-        h[:-W] = h[W:]
-        h[W:] |= up[:-W]
-        right = v & even  # E; v keeps W
-        v ^= right
-        bad = right[:-1] & v[1:]
-        right[:-1] ^= bad
-        v[1:] ^= bad
-        v[:-1] = v[1:]
-        v[1:] |= right[:-1]
+        # the outer rows of A_m and off the board's outer columns, so no
+        # shift loses a domino or carries it to another row.
+        up = H & even  # N; H keeps S
+        H ^= up
+        bad = up & (H >> ROW)
+        up ^= bad
+        H ^= bad << ROW
+        H = (H >> ROW) | (up << ROW)
+        right = V & even  # E; V keeps W
+        V ^= right
+        bad = right & (V >> R)
+        right ^= bad
+        V ^= bad << R
+        V = (V >> R) | (right << R)
 
         # filling: the empty squares form disjoint 2x2 blocks, and each
         # block's lower-left corner has x + y + m odd, like its upper-right
         # square; of the two, the corner is at an odd running count of
         # empties along its row.  The check below confirms that the blocks
         # found tile the empty squares exactly.
-        covered = h | v
-        covered[1:] |= h[:-1]
-        covered[W:] |= v[:-W]
-        empty = level[rows] <= m
-        empty = empty > covered
-        corner = np.logical_xor.accumulate(empty.reshape(2 * m, W, R), axis=1)
-        corner = corner.reshape(-1, R)
+        empty = diamond ^ (H | V | (H << R) | (V << ROW))
+        corner = empty
+        for shift, mask in scan:  # running parity along each row
+            corner ^= (corner << shift) & mask
         corner &= even
-        blocks = corner.copy()
-        blocks[1:] |= corner[:-1]
-        blocks[W:] |= blocks[:-W]
-        k = np.count_nonzero(corner)
-        if 4 * k != np.count_nonzero(empty) or (blocks != empty).any():
+        blocks = corner | (corner << R)
+        blocks |= blocks << ROW
+        k = corner.bit_count()
+        if 4 * k != empty.bit_count() or blocks != empty:
             raise AssertionError(f"stage {m}: the empty squares are not 2x2 blocks")
-        vertical = np.zeros(corner.shape, dtype=bool)
-        vertical[corner] = rng.random(k) < q  # row-major block order
+        coins = rng.random(k) < q  # block by block in ascending bit order
+        bits = 2 * m * ROW
+        if bits <= _LOOP_BITS:
+            vertical, rest = 0, corner
+            for coin in coins.tolist():
+                low = rest & -rest
+                rest ^= low
+                if coin:
+                    vertical |= low
+        else:
+            board = _unpack(corner, bits)
+            board[np.flatnonzero(board)] = coins
+            vertical = _pack(board)
         corner ^= vertical  # now the horizontal blocks
-        v |= vertical
-        v[1:] |= vertical[:-1]
-        h |= corner
-        h[W:] |= corner[:-W]
+        V |= vertical | (vertical << R)
+        H |= corner | (corner << ROW)
 
     # anchors sorted by x, then y, as a sorted Domino tuple is
-    H, V = H.reshape(W, W, R), V.reshape(W, W, R)
-    r, x, y = np.nonzero((H | V).transpose(2, 1, 0))
-    anchors = np.stack([x - n, y - n, H[y, x, r]], axis=-1, dtype=_ANCHOR_DTYPE)
+    horizontal = _unpack(H, W * ROW).reshape(W, W, R)
+    r, x, y = np.nonzero(_unpack(H | V, W * ROW).reshape(W, W, R).transpose(2, 1, 0))
+    anchors = np.stack([x - n, y - n, horizontal[y, x, r]], axis=-1, dtype=_ANCHOR_DTYPE)
     anchors = anchors.reshape(R, n * (n + 1), 3)
     tilings = [Tiling._from_anchors(n, a) for a in anchors]
     return tilings[0] if size is None else tilings

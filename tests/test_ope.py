@@ -13,6 +13,7 @@ from tilings.ope import (
     ConstructionError,
     DiscreteWeight,
     KernelConditionError,
+    _ldexp_columns,
     _phi_table,
     build_orthonormal,
     cd_kernel,
@@ -263,6 +264,23 @@ def test_phi_table_matches_per_degree_oracle(K, p, nrows):
     assert table.shape == (nrows, K + 1)
     assert np.isfinite(table).all()
     assert np.array_equal(table, phi_table_oracle(x, logw, a, b, nrows))
+
+
+@pytest.mark.parametrize("lowest", [-2200, -1074])
+def test_ldexp_columns_matches_np_ldexp(lowest):
+    # every exponent the split treats differently, against values of both
+    # signs, signed zeros, subnormals and magnitudes up to 2^1018; from
+    # -1074 up, the in-place np.ldexp path
+    rng = np.random.default_rng(0)
+    e = np.arange(lowest, 1101, dtype=np.int32)
+    mags = np.ldexp(rng.uniform(1.0, 2.0, 200), rng.integers(-1074, 1019, 200))
+    mags = np.concatenate([mags, 2.0 ** np.arange(-1074, 1019, 41), [2.0**1018, 5e-324]])
+    vals = np.concatenate([[0.0, -0.0], mags, -mags])
+    block = np.repeat(vals[:, None], e.size, axis=1)
+    with np.errstate(over="ignore"):
+        expect = np.ldexp(block, e)
+        _ldexp_columns(block, e)
+    assert np.array_equal(block.view(np.uint64), expect.view(np.uint64))
 
 
 def test_full_rank_kernel_is_identity():

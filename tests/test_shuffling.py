@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
+from tilings import shuffling
 from tilings.aztec import Domino, Tiling, _kind, diamond_squares
 from tilings.shuffling import (
     AztecMeasure,
@@ -21,70 +22,99 @@ from tilings.shuffling import (
 _SLIDE = ((0, 1), (0, -1), (-1, 0), (1, 0))  # by kind code N, S, W, E
 
 
+def _oracle_stage(anchors: dict[tuple[int, int], bool], m: int):
+    """Destruction and sliding of an order-(m-1) tiling held as one dict
+    entry per domino (anchor -> horizontal?).  Returns the slid anchors and
+    the lower-left corners of A_m's empty 2x2 blocks in row-major order."""
+    # destruction: drop bad pairs (facing dominoes that would collide)
+    bad: set[tuple[int, int]] = set()
+    for (x, y), horiz in anchors.items():
+        if horiz:
+            up = anchors.get((x, y + 1))
+            if up is True and _kind(x, y, True, m - 1) == 0 \
+                    and _kind(x, y + 1, True, m - 1) == 1:
+                bad.add((x, y))
+                bad.add((x, y + 1))
+        else:
+            right = anchors.get((x + 1, y))
+            if right is False and _kind(x, y, False, m - 1) == 3 \
+                    and _kind(x + 1, y, False, m - 1) == 2:
+                bad.add((x, y))
+                bad.add((x + 1, y))
+    anchors = {key: horiz for key, horiz in anchors.items() if key not in bad}
+
+    # sliding: one unit in the compass direction of the kind
+    moved: dict[tuple[int, int], bool] = {}
+    for (x, y), horiz in anchors.items():
+        dx, dy = _SLIDE[_kind(x, y, horiz, m - 1)]
+        target = (x + dx, y + dy)
+        if target in moved:
+            raise AssertionError("slide collision: bad-pair removal failed")
+        moved[target] = horiz
+
+    # filling: the first uncovered square in row-major order is always
+    # the lower-left corner of an empty 2x2 block
+    covered: set[tuple[int, int]] = set()
+    for (x, y), horiz in moved.items():
+        covered.add((x, y))
+        covered.add((x + 1, y) if horiz else (x, y + 1))
+    empties = [sq for sq in diamond_squares(m) if sq not in covered]
+    empties_set = set(empties)
+    blocks: list[tuple[int, int]] = []
+    for (x, y) in empties:
+        if (x, y) not in empties_set:
+            continue
+        block = ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
+        if any(sq not in empties_set for sq in block):
+            raise AssertionError(f"empty region at {(x, y)} is not a 2x2 block")
+        for sq in block:
+            empties_set.discard(sq)
+        blocks.append((x, y))
+    return moved, blocks
+
+
+def _oracle_fill(anchors: dict[tuple[int, int], bool], x: int, y: int,
+                 vertical: bool) -> None:
+    if vertical:
+        anchors[(x, y)] = False
+        anchors[(x + 1, y)] = False
+    else:
+        anchors[(x, y)] = True
+        anchors[(x, y + 1)] = True
+
+
+def _oracle_tiling(n: int, anchors: dict[tuple[int, int], bool]) -> Tiling:
+    return Tiling(n, (Domino(x, y, horiz) for (x, y), horiz in anchors.items()))
+
+
 def dict_shuffle_oracle(measure: AztecMeasure, rng: np.random.Generator) -> Tiling:
     """Domino shuffling with one dict entry per domino: the reference for
     sample_aztec's single draws.  Draws one rng.random() per empty block,
     blocks in row-major order."""
-    n = measure.n
-    q = measure.q
-    anchors: dict[tuple[int, int], bool] = {}  # anchor -> horizontal?
-
-    for m in range(1, n + 1):
-        # destruction: drop bad pairs (facing dominoes that would collide)
-        bad: set[tuple[int, int]] = set()
-        for (x, y), horiz in anchors.items():
-            if horiz:
-                up = anchors.get((x, y + 1))
-                if up is True and _kind(x, y, True, m - 1) == 0 \
-                        and _kind(x, y + 1, True, m - 1) == 1:
-                    bad.add((x, y))
-                    bad.add((x, y + 1))
-            else:
-                right = anchors.get((x + 1, y))
-                if right is False and _kind(x, y, False, m - 1) == 3 \
-                        and _kind(x + 1, y, False, m - 1) == 2:
-                    bad.add((x, y))
-                    bad.add((x + 1, y))
-        for key in bad:
-            del anchors[key]
-
-        # sliding: one unit in the compass direction of the kind
-        moved: dict[tuple[int, int], bool] = {}
-        for (x, y), horiz in anchors.items():
-            dx, dy = _SLIDE[_kind(x, y, horiz, m - 1)]
-            target = (x + dx, y + dy)
-            if target in moved:
-                raise AssertionError("slide collision: bad-pair removal failed")
-            moved[target] = horiz
-        anchors = moved
-
-        # filling: the first uncovered square in row-major order is always
-        # the lower-left corner of an empty 2x2 block
-        covered: set[tuple[int, int]] = set()
-        for (x, y), horiz in anchors.items():
-            covered.add((x, y))
-            covered.add((x + 1, y) if horiz else (x, y + 1))
-        empties = [sq for sq in diamond_squares(m) if sq not in covered]
-        empties_set = set(empties)
-        blocks: list[tuple[int, int]] = []
-        for (x, y) in empties:
-            if (x, y) not in empties_set:
-                continue
-            block = ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
-            if any(sq not in empties_set for sq in block):
-                raise AssertionError(f"empty region at {(x, y)} is not a 2x2 block")
-            for sq in block:
-                empties_set.discard(sq)
-            blocks.append((x, y))
+    anchors: dict[tuple[int, int], bool] = {}
+    for m in range(1, measure.n + 1):
+        anchors, blocks = _oracle_stage(anchors, m)
         for (x, y) in blocks:
-            if rng.random() < q:
-                anchors[(x, y)] = False
-                anchors[(x + 1, y)] = False
-            else:
-                anchors[(x, y)] = True
-                anchors[(x, y + 1)] = True
+            _oracle_fill(anchors, x, y, rng.random() < measure.q)
+    return _oracle_tiling(measure.n, anchors)
 
-    return Tiling(n, (Domino(x, y, horiz) for (x, y), horiz in anchors.items()))
+
+def batch_shuffle_oracle(measure: AztecMeasure, rng: np.random.Generator,
+                         size: int) -> list[Tiling]:
+    """``size`` dict shuffles in lockstep: the reference for sample_aztec's
+    batches.  Each stage draws one rng.random(total) over the empty blocks
+    of all replicas, sorted by row-major position, then by replica."""
+    states: list[dict[tuple[int, int], bool]] = [{} for _ in range(size)]
+    for m in range(1, measure.n + 1):
+        order = []
+        for r in range(size):
+            states[r], blocks = _oracle_stage(states[r], m)
+            order += [(y, x, r) for (x, y) in blocks]
+        order.sort()
+        coins = rng.random(len(order)) < measure.q
+        for (y, x, r), vertical in zip(order, coins):
+            _oracle_fill(states[r], x, y, vertical)
+    return [_oracle_tiling(measure.n, a) for a in states]
 
 
 def chi2_pvalue(observed: dict, expected: dict, total: int) -> float:
@@ -184,6 +214,27 @@ def test_single_draws_match_dict_oracle():
                 assert rng.random() == ref_rng.random()
                 # a batch of one takes its values in the same order
                 assert sample_aztec(m, np.random.default_rng(seed), size=1) == [t]
+
+
+def test_batches_match_lockstep_dict_oracle():
+    # a batch reads the stream block position by block position, replica by
+    # replica within a position; the chi^2 tests draw their samples that way
+    for n in [*range(1, 7), 16]:
+        for size in (2, 3, 7):
+            m = AztecMeasure.from_q(n, 0.4)
+            rng, ref_rng = np.random.default_rng(n + 10 * size), np.random.default_rng(n + 10 * size)
+            assert sample_aztec(m, rng, size=size) == batch_shuffle_oracle(m, ref_rng, size)
+            assert rng.random() == ref_rng.random()
+
+
+def test_block_check_stops_a_corrupt_board(monkeypatch):
+    # masks built one copy of their pattern short misplace the slides and the
+    # block corners; the stage check must stop the draw
+    tile = shuffling._tile
+    monkeypatch.setattr(shuffling, "_tile", lambda p, s, c: tile(p, s, max(c - 1, 0)))
+    for n in (2, 6):
+        with pytest.raises(AssertionError, match="not 2x2 blocks"):
+            sample_aztec(AztecMeasure.from_q(n, 0.5), np.random.default_rng(0))
 
 
 def test_vertical_count_law_exact_vs_enumeration():
