@@ -134,10 +134,13 @@ _ANCHOR_DTYPE = np.int32
 
 
 def _anchor_array(rows: Iterable[tuple[int, int, bool]] | np.ndarray) -> np.ndarray:
-    """(k, 3) array of rows (x, y, horizontal), sorted like Domino tuples."""
+    """Read-only (k, 3) array of rows (x, y, horizontal), sorted like Domino
+    tuples."""
     rows = rows if isinstance(rows, np.ndarray) else list(rows)
     a = np.asarray(rows, dtype=_ANCHOR_DTYPE).reshape(-1, 3)
-    return a[np.lexsort(a.T[::-1])]
+    a = a[np.lexsort(a.T[::-1])]
+    a.flags.writeable = False
+    return a
 
 
 class Tiling:
@@ -154,13 +157,12 @@ class Tiling:
 
     @classmethod
     def _from_anchors(cls, order: int, anchors: np.ndarray) -> "Tiling":
-        """Tiling holding a sorted anchor array (not copied)."""
+        """Tiling holding a sorted, read-only anchor array (not copied)."""
         t = object.__new__(cls)
         t._set(order, anchors)
         return t
 
     def _set(self, order: int, anchors: np.ndarray) -> None:
-        anchors.flags.writeable = False
         self._order, self._anchors, self._dominoes, self._grid = order, anchors, None, None
 
     @property

@@ -12,10 +12,10 @@ neighbours are the same slice shifted by -(N+1), -1 and -(N+2).  So the table
 fills diagonal by diagonal, each diagonal a few ufuncs on views, with any
 leading axes of W swept together.
 
-The exact distribution function delegates to the Krawtchouk projection
-kernel: P[G(M,N) <= t] equals the probability that the largest of M
-particles in the window {0, ..., t+N+M-1} with weight parameter q stays
-below t+M-1.
+The exact distribution function is a gap probability of the Krawtchouk
+ensemble: P[G(M,N) <= t] equals the probability that the largest of M
+particles in the window {0, ..., t+N+M-1} with weight parameter q lies at or
+below t+M-1, a ratio of two Gram determinants of the phi table.
 
 Also here: the corner-growth set dynamics (independent corner filling with
 probability 1 - q), the partition read off the north polar zone of an Aztec
@@ -121,9 +121,18 @@ def lpp_value(W: np.ndarray) -> np.ndarray:
 
 
 def lpp_cdf_exact(M: int, N: int, q: float, t: int) -> float:
-    """P[G(M,N) <= t] via the Krawtchouk kernel with M particles on the
-    window {0, ..., t+N+M-1} and weight parameter q.  At q = 0, or with no
-    cells (M N = 0), G = 0."""
+    """P[G(M,N) <= t], the probability that the largest of M particles of
+    the Krawtchouk ensemble on the window {0, ..., t+N+M-1} with weight
+    parameter q lies at or below s = t+M-1.  At q = 0, or with no cells
+    (M N = 0), G = 0.
+
+    It is the ratio det(Phi_B Phi_B^T) / det(Phi Phi^T) with B = {0, ..., s}
+    and Phi the first M rows of the raw phi table (ope._max_particle_cdf).
+    The ratio depends only on the span of those rows, so the table is
+    neither polished nor projected to a kernel; the Gram matrix of all its
+    rows, which the ratio forms anyway, must be within 1e-9 of the identity,
+    the bound build_orthonormal applies, or ConstructionError is raised.
+    """
     if not 0 <= q < 1:
         raise ValueError("q must lie in [0, 1)")
     if t < 0:
@@ -131,9 +140,8 @@ def lpp_cdf_exact(M: int, N: int, q: float, t: int) -> float:
     if q == 0 or M * N == 0:
         return 1.0
     K = t + N + M - 1
-    system = ope.build_orthonormal(ope.DiscreteWeight.krawtchouk(K, q), M)
-    kernel = ope.cd_kernel(system)
-    return ope.max_particle_cdf(kernel, t + M - 1)
+    system = ope.build_orthonormal(ope.DiscreteWeight.krawtchouk(K, q), M, validate=False)
+    return ope._max_particle_cdf(system.table, M, t + M - 1)
 
 
 def corner_growth_step(shape: tuple[int, ...], p: float,

@@ -325,13 +325,34 @@ def _phi_table(x: np.ndarray, logw: np.ndarray, a: np.ndarray, b: np.ndarray,
     return out
 
 
+# A table whose Gram matrix G has a raw residual max|G - I| above this is
+# rejected: build_orthonormal polishes residuals up to it, and the gap ratio
+# of max_particle_cdf accepts the raw table up to it.
+_RESIDUAL_MAX = 1e-9
+
+
+def _check_gram(G: np.ndarray, bound: float) -> float:
+    """max|G - I|; raises :class:`ConstructionError` naming the worst degree
+    pair when it is above ``bound`` or not finite."""
+    E = np.abs(G - np.eye(len(G)))
+    residual = float(E.max())
+    if not residual <= bound:
+        i, j = np.unravel_index(E.argmax(), E.shape)  # argmax finds a NaN too
+        raise ConstructionError(
+            f"orthonormality residual {residual:.3e} at degrees ({i},{j})"
+        )
+    return residual
+
+
 def build_orthonormal(weight: DiscreteWeight, N: int,
                       validate: bool = True) -> OrthonormalSystem:
     """Build phi_0..phi_N (one degree beyond the kernel rank N, when the
     support allows, so the Christoffel-Darboux form is available).
 
-    Raises :class:`ConstructionError` naming the failing degree pair when the
-    orthonormality residual exceeds 1e-10.
+    With ``validate``, raises :class:`ConstructionError` naming the failing
+    degree pair when the orthonormality residual of the table exceeds
+    _RESIDUAL_MAX = 1e-9, or, after the Newton-Schulz polish that residuals
+    above 1e-13 get, 1e-10.
     """
     if not 1 <= N <= weight.size + 1:
         raise ValueError(f"rank N={N} out of range 1..{weight.size + 1}")
@@ -353,21 +374,14 @@ def build_orthonormal(weight: DiscreteWeight, N: int,
     residual = 0.0
     if validate:
         G = table @ table.T
-        residual = float(np.abs(G - np.eye(nrows)).max())
-        if 1e-13 < residual <= 1e-9:
+        residual = _check_gram(G, _RESIDUAL_MAX)
+        if residual > 1e-13:
             # one Newton-Schulz step towards the symmetric orthonormal basis
             # of the same span: with G = I + E the new Gram matrix is
             # I - 3E^2/4 + O(E^3), so kernel projection algebra holds to
             # machine precision (perturbs each function by ~residual)
             table = (1.5 * np.eye(nrows) - 0.5 * G) @ table
-            G = table @ table.T
-            residual = float(np.abs(G - np.eye(nrows)).max())
-        if residual > 1e-10:
-            G -= np.eye(nrows)
-            i, j = np.unravel_index(np.abs(G).argmax(), G.shape)
-            raise ConstructionError(
-                f"orthonormality residual {residual:.3e} at degrees ({i},{j})"
-            )
+            residual = _check_gram(table @ table.T, 1e-10)
     return OrthonormalSystem(
         weight=weight, rank=N, num_degrees=nrows, a=a, b=b, table=table,
         log_total_weight=log_total, orthonormality_residual=residual,
@@ -391,16 +405,23 @@ class ProjectionKernel:
             raise ValueError("rank exceeds available degrees")
         self._phi = self.system.table[: self.rank]
         self._matrix = None
+        self._diag = None
 
     @property
     def size(self) -> int:
         return self.system.size
 
+    def _diagonal(self) -> np.ndarray:
+        """K(x, x) for every site, computed once; callers must not write to it."""
+        if self._diag is None:
+            self._diag = np.einsum("nx,nx->x", self._phi, self._phi)
+        return self._diag
+
     def diagonal(self) -> np.ndarray:
-        return np.einsum("nx,nx->x", self._phi, self._phi)
+        return self._diagonal().copy()
 
     def trace(self) -> float:
-        return float(self.diagonal().sum())
+        return float(self._diagonal().sum())
 
     def row(self, x: int) -> np.ndarray:
         return self._phi[:, x] @ self._phi
@@ -489,7 +510,7 @@ def sample_dpp(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray
     N, M = phi.shape
     U = np.zeros((N, N))
     W = np.empty((M, N))     # W.T = U @ phi, filled panel by panel
-    diag = kernel.diagonal()
+    diag = kernel._diagonal()
     d = diag.copy()
     chosen = np.empty(N, dtype=int)
     i = 0
@@ -572,14 +593,48 @@ def number_variance(kernel: ProjectionKernel, interval) -> float:
     return max(v, 0.0)
 
 
-def max_particle_cdf(kernel: ProjectionKernel, s: int) -> float:
-    """P[max particle <= s] = det(I - K) on {s+1, ..., size}."""
-    if s >= kernel.size:
+def _max_particle_cdf(table: np.ndarray, rank: int, s: int) -> float:
+    """P[max particle <= s] of the projection DPP onto the span of the first
+    ``rank`` rows Phi of ``table``, as the Gram-determinant ratio
+
+        det(Phi_B Phi_B^T) / det(Phi Phi^T),   B = {0, ..., s}.
+
+    For orthonormal rows this is det(I - K) on the complement of B
+    (Sylvester's identity), and the ratio is unchanged when Phi is replaced
+    by C Phi for any invertible C, so the rows need only span the right
+    space.  That span is trusted only while the Gram matrix of all rows of
+    ``table`` is within _RESIDUAL_MAX = 1e-9 of the identity, the bound
+    build_orthonormal applies; above it :class:`ConstructionError` is
+    raised.  The ``rank`` particles sit on distinct sites, so s + 1 < rank
+    gives exactly 0.0.
+    """
+    size = table.shape[1] - 1
+    if s >= size:
         return 1.0
-    A = np.arange(max(s + 1, 0), kernel.size + 1)
-    lam = np.linalg.eigvalsh(kernel.block(A))
-    lam = np.clip(lam, 0.0, 1.0)
-    return float(np.prod(1.0 - lam))
+    if s + 1 < rank:
+        return 0.0
+    B, A = table[:, : s + 1], table[:, s + 1:]
+    GB = B @ B.T
+    G = A @ A.T
+    G += GB
+    _check_gram(G, _RESIDUAL_MAX)
+    try:
+        LB = np.linalg.cholesky(GB[:rank, :rank])
+    except np.linalg.LinAlgError:  # det(G_B) is not positive
+        return 0.0
+    L = np.linalg.cholesky(G[:rank, :rank])
+    log_ratio = 2.0 * float(np.log(np.diagonal(LB)).sum() - np.log(np.diagonal(L)).sum())
+    return min(1.0, math.exp(log_ratio))
+
+
+def max_particle_cdf(kernel: ProjectionKernel, s: int) -> float:
+    """P[max particle <= s] = det(I - K) on {s+1, ..., size}, computed as
+    the ratio det(Phi_B Phi_B^T) / det(Phi Phi^T), B = {0, ..., s}, of the
+    kernel's functions Phi, which needs the span of Phi and not an
+    orthonormal basis of it (see _max_particle_cdf).  Raises
+    :class:`ConstructionError` when max|Phi Phi^T - I| exceeds 1e-9; exactly
+    0.0 when s + 1 is below the rank."""
+    return _max_particle_cdf(kernel._phi, kernel.rank, s)
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,12 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
     # anchors sorted by x, then y, as a sorted Domino tuple is
     horizontal = _unpack(H, W * ROW).reshape(W, W, R)
     r, x, y = np.nonzero(_unpack(H | V, W * ROW).reshape(W, W, R).transpose(2, 1, 0))
-    anchors = np.stack([x - n, y - n, horizontal[y, x, r]], axis=-1, dtype=_ANCHOR_DTYPE)
-    anchors = anchors.reshape(R, n * (n + 1), 3)
+    anchors = np.empty((R, n * (n + 1), 3), dtype=_ANCHOR_DTYPE)
+    columns = anchors.reshape(-1, 3).T
+    np.subtract(x, n, out=columns[0], casting="unsafe")
+    np.subtract(y, n, out=columns[1], casting="unsafe")
+    columns[2] = horizontal[y, x, r]
+    anchors.flags.writeable = False  # and so is each replica's view
     tilings = [Tiling._from_anchors(n, a) for a in anchors]
     return tilings[0] if size is None else tilings
 

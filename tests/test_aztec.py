@@ -124,6 +124,19 @@ def test_colouring_is_proper_and_leftmost_white():
         assert square_is_white(leftmost, y, n)
 
 
+def test_anchors_are_read_only_on_every_construction_path():
+    rng = np.random.default_rng(5)
+    one = sample_aztec(AztecMeasure.from_q(3, 0.5), rng)
+    batch = sample_aztec(AztecMeasure.from_q(2, 0.4), rng, size=3)
+    made = [one, *batch, Tiling(3, one.dominoes), tiling_from_json(tiling_to_json(one)),
+            dr_paths_to_tiling(extract_dr_paths(one, "typeI")),
+            *(t for t, _ in enumerate_tilings(2))]
+    for t in made:
+        assert not t.anchors.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t.anchors[0, 0] = 9
+
+
 def test_classify_rules():
     n = 3
     for (x, y) in diamond_squares(n):

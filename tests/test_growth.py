@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 from scipy.stats import chi2 as chi2_dist
 
+from tilings import ope
 from tilings.aztec import extract_dr_paths, zigzag_config
 from tilings.growth import (
     _bessel_tail,
@@ -26,6 +27,7 @@ from tilings.growth import (
     lpp_value,
     sample_geometric,
 )
+from tilings.ope import ConstructionError, DiscreteWeight, build_orthonormal
 from tilings.shuffling import AztecMeasure, enumerate_tilings, sample_aztec
 
 
@@ -133,6 +135,44 @@ def test_lpp_cdf_degenerate_inputs():
     for q in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError, match=r"q must lie in \[0, 1\)"):
             lpp_cdf_exact(3, 3, q, 2)
+
+
+@pytest.mark.parametrize("N, t, parent", [
+    (30, 1000, 0.7622220048722516),
+    (36, 994, 0.06513461083380524),
+])
+def test_lpp_cdf_at_the_acceptance_boundary(N, t, parent):
+    # t + N + M - 1 = 2000 at M = 971 and q = 0.4: the 972-row phi table has
+    # a raw orthonormality residual of 9.1e-10, just inside the 1e-9 bound.
+    # ``parent`` is the value of the polished kernel and the eigvalsh form
+    # det(I - K_A), which the Gram-determinant ratio replaced.
+    assert abs(lpp_cdf_exact(971, N, 0.4, t) - parent) <= 1e-12
+    build_orthonormal(DiscreteWeight.krawtchouk(2000, 0.4), 971)
+
+
+def test_lpp_cdf_rejects_the_first_rank_past_the_boundary():
+    # M = 972 gives 973 rows on the same window, with a residual of 1.08e-9:
+    # build_orthonormal and lpp_cdf_exact both refuse it
+    with pytest.raises(ConstructionError, match="residual 1.08"):
+        lpp_cdf_exact(972, 29, 0.4, 1000)
+    with pytest.raises(ConstructionError, match="residual 1.08"):
+        build_orthonormal(DiscreteWeight.krawtchouk(2000, 0.4), 972)
+
+
+def test_lpp_cdf_rejects_a_table_with_a_repeated_row(monkeypatch):
+    phi_table = ope._phi_table
+
+    def repeated_row(*args):
+        table = phi_table(*args)
+        table[2] = table[1]
+        return table
+
+    monkeypatch.setattr(ope, "_phi_table", repeated_row)
+    for (M, N, q, t) in [(3, 3, 0.5, 2), (8, 5, 0.3, 6), (40, 40, 0.5, 60)]:
+        with pytest.raises(ConstructionError, match=r"at degrees \((1,2|2,1)\)"):
+            lpp_cdf_exact(M, N, q, t)
+        with pytest.raises(ConstructionError):
+            build_orthonormal(DiscreteWeight.krawtchouk(t + N + M - 1, q), M)
 
 
 def test_lpp_cdf_monotone_to_one():

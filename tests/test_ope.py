@@ -453,6 +453,63 @@ def test_max_particle_cdf():
         prev = val
 
 
+def eigvalsh_max_particle_cdf(kernel, s):
+    """Oracle: P[max particle <= s] = det(I - K_A) on A = {s+1, ..., size},
+    from the eigenvalues of the kernel block."""
+    if s >= kernel.size:
+        return 1.0
+    A = np.arange(max(s + 1, 0), kernel.size + 1)
+    lam = np.clip(np.linalg.eigvalsh(kernel.block(A)), 0.0, 1.0)
+    return float(np.prod(1.0 - lam))
+
+
+@pytest.mark.parametrize("weight, N", [
+    (DiscreteWeight.krawtchouk(40, 0.5), 12),
+    (DiscreteWeight.krawtchouk(120, 0.3), 45),
+    (DiscreteWeight.krawtchouk(300, 0.7), 1),
+    (DiscreteWeight.hahn(60, 4, 9), 20),
+    (DiscreteWeight.associated_hahn(50, 2, 3), 25),
+])
+def test_max_particle_cdf_matches_eigvalsh_oracle(weight, N):
+    kern = cd_kernel(build_orthonormal(weight, N))
+    values = [max_particle_cdf(kern, s) for s in range(-2, weight.size + 2)]
+    oracle = [eigvalsh_max_particle_cdf(kern, s) for s in range(-2, weight.size + 2)]
+    assert np.abs(np.subtract(values, oracle)).max() <= 1e-12
+    assert any(0.01 < v < 0.99 for v in values)  # the sweep crosses the edge
+
+
+def test_max_particle_cdf_is_zero_below_rank():
+    # N distinct particles do not fit in the N - 1 sites 0..N-2
+    for weight, N in [(DiscreteWeight.krawtchouk(40, 0.5), 12),
+                      (DiscreteWeight.hahn(30, 1, 2), 7),
+                      (DiscreteWeight.krawtchouk(12, 0.1), 4)]:
+        kern = cd_kernel(build_orthonormal(weight, N))
+        for s in range(-3, N - 1):
+            assert max_particle_cdf(kern, s) == 0.0
+    # at p = 0.1 all 4 particles sit in 0..3 with probability ~0.0225
+    assert abs(max_particle_cdf(kern, 3) - eigvalsh_max_particle_cdf(kern, 3)) <= 1e-12
+    assert max_particle_cdf(kern, 3) > 0.02
+
+
+def test_max_particle_cdf_rejects_a_table_that_is_not_orthonormal():
+    s = build_orthonormal(DiscreteWeight.krawtchouk(20, 0.5), 8)
+    s.table[2] = s.table[1]
+    kern = cd_kernel(s)
+    for smax in (7, 12, 19):
+        with pytest.raises(ConstructionError, match=r"at degrees \((1,2|2,1)\)"):
+            max_particle_cdf(kern, smax)
+
+
+def test_kernel_diagonal_is_cached_and_returned_as_a_copy():
+    kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(30, 0.4), 10))
+    d = kern.diagonal()
+    fresh = np.einsum("nx,nx->x", kern._phi, kern._phi)
+    assert np.array_equal(d, fresh)
+    d[:] = -1.0
+    assert np.array_equal(kern.diagonal(), fresh)
+    assert kern.trace() == float(fresh.sum())
+
+
 def test_edge_constants():
     b, r = edge_constants(0.25, 0.5)
     assert abs(b - (0.5 + math.sqrt(0.25 * 0.75))) < 1e-14
