@@ -23,6 +23,10 @@ functions are the sine eigenbasis of the absorbing walk; a cosine variant
 sometimes quoted for this model fails the brute-force enumeration check,
 which the tests here run at small sizes.)  Everything exponent-heavy is done
 in log space so large M costs nothing in stability.
+
+The brute-force covers come from the perfect-matching backtracker that also
+enumerates Aztec tilings (shuffling._perfect_matchings), and the exact
+transfer counting steps walks with hexagon's ``_moves``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .hexagon import _moves
+from .shuffling import _perfect_matchings
 
 __all__ = [
     "BrickLatticeSpec",
@@ -224,41 +229,25 @@ def brick_edges(M: int, N: int) -> list[tuple]:
 
 
 def enumerate_dimers(spec: BrickLatticeSpec) -> list[tuple[DimerCover, float]]:
-    """All perfect matchings with their weights; refuses past 24 vertices."""
+    """All perfect matchings with their weights; refuses past 24 vertices.
+
+    The vertices, in (j, k) order, pair the first one not yet covered with
+    each free neighbour in brick_edges order."""
     M, N = spec.M, spec.N
     if spec.num_vertices > 24:
         raise ValueError(
             f"{spec.num_vertices} vertices exceeds the enumeration limit of 24"
         )
-    verts = [(j, k) for j in range(2 * M) for k in range(2 * N + 1)]
-    adj: dict[tuple, list] = {v: [] for v in verts}
-    for (a, b, kind) in brick_edges(M, N):
-        adj[a].append((b, kind))
-        adj[b].append((a, kind))
-    out: list[tuple[DimerCover, float]] = []
-    used: set = set()
-    cover: list = []
-
-    def bt(i: int) -> None:
-        while i < len(verts) and verts[i] in used:
-            i += 1
-        if i == len(verts):
-            nh = sum(1 for e in cover if e[2] == "h")
-            nv = len(cover) - nh
-            out.append((tuple(sorted(cover)), spec.z**nh * spec.w**nv))
-            return
-        v = verts[i]
-        for (u, kind) in adj[v]:
-            if u not in used:
-                used.add(v)
-                used.add(u)
-                cover.append((min(v, u), max(v, u), kind))
-                bt(i + 1)
-                cover.pop()
-                used.discard(v)
-                used.discard(u)
-
-    bt(0)
+    index = {(j, k): (2 * N + 1) * j + k for j in range(2 * M) for k in range(2 * N + 1)}
+    adjacency: list[list] = [[] for _ in index]
+    for edge in brick_edges(M, N):
+        a, b = index[edge[0]], index[edge[1]]
+        adjacency[a].append((b, edge))
+        adjacency[b].append((a, edge))
+    out = []
+    for cover in _perfect_matchings(adjacency):
+        nh = sum(1 for e in cover if e[2] == "h")
+        out.append((tuple(sorted(cover)), spec.z**nh * spec.w**(len(cover) - nh)))
     return out
 
 
@@ -283,41 +272,27 @@ def cover_to_paths(cover: DimerCover, M: int, N: int) -> CylindricPathFamily:
     return tuple(tuple(sorted(s)) for s in lines)
 
 
-def _paths_to_vertical_edges(lines: CylindricPathFamily, M: int) -> set[tuple]:
-    """Vertical dimer set from a path family.  Non-intersecting walks keep
-    their vertical order, so the i-th lowest occupied height on one line
-    steps to the i-th lowest on the next."""
-    edges: set[tuple] = set()
+def paths_to_cover(lines: CylindricPathFamily, M: int, N: int) -> DimerCover:
+    """Inverse of :func:`cover_to_paths`: vertical dimers from the steps,
+    horizontal dimers on everything the walks do not visit.  Non-intersecting
+    walks keep their vertical order, so the i-th lowest occupied height on
+    one line steps to the i-th lowest on the next."""
+    cover: set[tuple] = set()
+    covered: set[tuple] = set()
     for j in range(2 * M):
-        tprev = (j - 1) % (2 * M)
-        prev = sorted(lines[tprev])
-        here = sorted(lines[j % (2 * M)])
+        prev, here = sorted(lines[(j - 1) % (2 * M)]), sorted(lines[j])
         if len(prev) != len(here):
             raise ValueError("inconsistent line occupancies")
         for hp, hn in zip(prev, here):
             if abs(hp - hn) != 1:
                 raise ValueError("path step is not +-1")
             lo = min(hp, hn)
-            edges.add(((j, lo), (j, lo + 1), "v"))
-    return edges
-
-
-def paths_to_cover(lines: CylindricPathFamily, M: int, N: int) -> DimerCover:
-    """Inverse of :func:`cover_to_paths`: vertical dimers from the steps,
-    horizontal dimers on everything the walks do not visit."""
-    vedges = _paths_to_vertical_edges(lines, M)
-    covered_vertices: set[tuple] = set()
-    for (a, b, _k) in vedges:
-        covered_vertices.add(a)
-        covered_vertices.add(b)
-    cover = list(vedges)
-    for (a, b, kind) in brick_edges(M, N):
-        if kind != "h":
-            continue
-        if a not in covered_vertices and b not in covered_vertices:
-            cover.append((a, b, "h"))
-            covered_vertices.add(a)
-            covered_vertices.add(b)
-    if len(covered_vertices) != 2 * M * (2 * N + 1):
+            cover.add(((j, lo), (j, lo + 1), "v"))
+            covered.update(((j, lo), (j, lo + 1)))
+    for a, b, kind in brick_edges(M, N):
+        if kind == "h" and a not in covered and b not in covered:
+            cover.add((a, b, kind))
+            covered.update((a, b))
+    if len(covered) != 2 * M * (2 * N + 1):
         raise ValueError("path family does not induce a perfect matching")
     return tuple(sorted(cover))

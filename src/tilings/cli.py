@@ -114,18 +114,22 @@ def _cmd_aztec_stats(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# weight family -> its parameters: the window size (an integer), then floats
+_FAMILIES = {"krawtchouk": ("K", "p"), "hahn": ("N", "alpha", "beta"),
+             "associated-hahn": ("N", "alpha", "beta")}
+
+
 def _parse_weight(cfg: ExperimentConfig) -> ope.DiscreteWeight:
     family = cfg.params["family"]
     p = dict(kv.split("=") for kv in str(cfg.params["params"]).split(","))
-    if family == "krawtchouk":
-        return ope.DiscreteWeight.krawtchouk(int(p["K"]), float(p["p"]))
-    if family == "hahn":
-        return ope.DiscreteWeight.hahn(int(p["N"]), float(p["alpha"]), float(p["beta"]))
-    if family == "associated-hahn":
-        return ope.DiscreteWeight.associated_hahn(
-            int(p["N"]), float(p["alpha"]), float(p["beta"])
-        )
-    raise CliError("bad-family", f"unknown weight family {family!r}")
+    if family not in _FAMILIES:
+        raise CliError("bad-family", f"unknown weight family {family!r}")
+    keys = _FAMILIES[family]
+    if set(p) - set(keys):
+        raise ValueError(f"the {family} weight takes no parameters "
+                         f"{sorted(set(p) - set(keys))}; it takes {list(keys)}")
+    size, *rest = (p[k] for k in keys)
+    return getattr(ope.DiscreteWeight, family.replace("-", "_"))(int(size), *map(float, rest))
 
 
 def _cmd_ope_kernel(cfg: ExperimentConfig) -> int:
@@ -184,6 +188,8 @@ def _cmd_growth_cdf(cfg: ExperimentConfig) -> int:
     M, N, q = int(cfg.params["M"]), int(cfg.params["N"]), float(cfg.params["q"])
     tmax = int(cfg.params["tmax"])
     mc = int(cfg.params.get("mc-samples", 20000))
+    if mc < 1:
+        raise ValueError(f"mc-samples must be positive, got {mc}")
     rng = replica_rng(cfg.seed, 0)
     W = growth.sample_geometric(q, (mc, M, N), rng)
     g = growth.lpp_value(W)[:, -1, -1]
@@ -198,6 +204,8 @@ def _cmd_lis_check(cfg: ExperimentConfig) -> int:
     alpha = float(cfg.params["alpha"])
     n = int(cfg.params["n"])
     draws = int(cfg.params.get("draws", 0))
+    if draws < 0:
+        raise ValueError(f"draws must be nonnegative, got {draws}")
     exact = growth.lis_cdf(alpha, n)
     line = {"alpha": alpha, "n": n, "fredholm": exact}
     if draws:
@@ -239,7 +247,13 @@ def _cmd_schur_prob(cfg: ExperimentConfig) -> int:
 
 def _cmd_hexagon_count(cfg: ExperimentConfig) -> int:
     a, b, c = (int(cfg.params[k]) for k in ("a", "b", "c"))
-    print(str(hexagon.macmahon(a, b, c)))
+    count = hexagon.macmahon(a, b, c)
+    limit = sys.get_int_max_str_digits()  # 4300 digits by default; N(128,128,128) has 5585
+    sys.set_int_max_str_digits(0)
+    try:
+        print(str(count))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -381,11 +395,14 @@ def _config_from_args(args: argparse.Namespace, params: list[str]) -> Experiment
     mode = pick("mode", "float")
     if mode not in _MODES:
         raise CliError("bad-mode", f"mode must be one of {_MODES}, got {mode!r}")
+    replicas = int(pick("replicas", 1))
+    if replicas < 1:
+        raise ValueError(f"replicas must be positive, got {replicas}")
     return ExperimentConfig(
         command=args.command,
         params=merged,
         seed=int(pick("seed", 0)),
-        replicas=int(pick("replicas", 1)),
+        replicas=replicas,
         out=pick("out"),
         mode=mode,
     )

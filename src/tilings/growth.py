@@ -7,10 +7,11 @@ rule for the RSK growth diagram (see schur.py): G(M, N) is part 1 of the RSK
 shape of W[:M, :N].  One kernel, ``_shapes``, fills the first k parts of
 every such shape, and ``lpp_value`` is its k = 1 case.  It holds the bordered
 (M+1) x (N+1) table row-major in one flat array, where the anti-diagonal
-i + j = d is the strided slice flat[a:b:N], and its upper, left and upper-left
-neighbours are the same slice shifted by -(N+1), -1 and -(N+2).  So the table
-fills diagonal by diagonal, each diagonal a few ufuncs on views, with any
-leading axes of W swept together.
+i + j = d is a strided slice with step N, and its upper, left and upper-left
+neighbours are the same slice shifted by -(N+1), -1 and -(N+2); ``_diagonals``
+yields the four slices of each diagonal.  So the table fills diagonal by
+diagonal, each diagonal a few ufuncs on views, with any leading axes of W
+swept together.
 
 The exact distribution function is a gap probability of the Krawtchouk
 ensemble: P[G(M,N) <= t] equals the probability that the largest of M
@@ -67,12 +68,15 @@ _INT64_LIMIT = np.iinfo(np.int64).max // 4
 
 
 def _diagonals(M: int, N: int):
-    """Start and stop of the anti-diagonals d = 2, ..., M + N of the cells
-    1 <= i <= M, 1 <= j <= N in the row-major flat (M+1) x (N+1) table: cell
-    (i, d - i) sits at d + i*N, so each diagonal is a slice with step N."""
+    """The anti-diagonals d = 2, ..., M + N of the cells 1 <= i <= M,
+    1 <= j <= N in the row-major flat (M+1) x (N+1) table, each as four
+    slices with step N: its cells, cell (i, d - i) at d + i*N, and their
+    upper (i-1, j), left (i, j-1) and upper-left (i-1, j-1) neighbours."""
     if M and N:
         for d in range(2, M + N + 1):
-            yield d + max(1, d - N) * N, d + min(M, d - 1) * N + 1
+            a, b = d + max(1, d - N) * N, d + min(M, d - 1) * N + 1
+            yield (slice(a, b, N), slice(a - N - 1, b - N - 1, N),
+                   slice(a - 1, b - 1, N), slice(a - N - 2, b - N - 2, N))
 
 
 def _shapes(W: np.ndarray, parts: int) -> np.ndarray:
@@ -92,16 +96,14 @@ def _shapes(W: np.ndarray, parts: int) -> np.ndarray:
     S[..., 1:, 1:, 0] = W
     flat = S.reshape(*lead, (M + 1) * (N + 1), S.shape[-1])
     part1 = flat[..., 0]  # no parts axis: k = 1 sweeps as fast as a 1-D table
-    for a, b in _diagonals(M, N):
+    for cell, up, left, corner in _diagonals(M, N):
         # part 1 holds w until its diagonal is reached
-        part1[..., a:b:N] += np.maximum(part1[..., a - N - 1:b - N - 1:N],
-                                        part1[..., a - 1:b - 1:N])
+        part1[..., cell] += np.maximum(part1[..., up], part1[..., left])
         if parts > 1:
-            mu = flat[..., a - N - 1:b - N - 1:N, :]
-            nu = flat[..., a - 1:b - 1:N, :]
-            rho = flat[..., a - N - 2:b - N - 2:N, :-1]
-            flat[..., a:b:N, 1:] = (np.maximum(mu[..., 1:], nu[..., 1:])
-                                    + np.minimum(mu[..., :-1], nu[..., :-1]) - rho)
+            mu, nu = flat[..., up, :], flat[..., left, :]
+            rho = flat[..., corner, :-1]
+            flat[..., cell, 1:] = (np.maximum(mu[..., 1:], nu[..., 1:])
+                                   + np.minimum(mu[..., :-1], nu[..., :-1]) - rho)
     return S[..., :parts]
 
 

@@ -7,11 +7,13 @@ occupy particle positions x_k = (S^k(m) - alpha_m)/2 in {0, ..., gamma_m};
 the L_m complementary sites are the holes, one per vertical rhombus.
 
 Exact machinery: column prefix counts as determinants of binomial
-coefficients (integer arithmetic), MacMahon's product formula, the exact
-column laws (holes are a Hahn ensemble, particles an associated Hahn
-ensemble), and a count-DP sampler that is exactly uniform.  For hexagons too
-large to count, a checkerboard heat-bath chain of lozenge flips (one bit per
-site, 0.2 ms a sweep at c = 128) coupled from the past is exact too.
+coefficients (integer arithmetic), MacMahon's product formula as one big-int
+ratio over the anti-diagonals of the a x b base, the exact column laws (holes
+are a Hahn ensemble, particles an associated Hahn ensemble), and one cached
+table of completion counts per hexagon, which both counts the walk families
+and drives an exactly uniform forward sampler.  For hexagons too large to
+count, a checkerboard heat-bath chain of lozenge flips (one bit per site)
+coupled from the past is exact too.
 """
 
 from __future__ import annotations
@@ -173,21 +175,20 @@ def lgv_count(spec: HexagonSpec, m: int, x) -> int:
 
 
 def macmahon(a: int, b: int, c: int) -> int:
-    """MacMahon's boxed-plane-partition count, exact."""
+    """MacMahon's boxed-plane-partition count, exact: the product over cells
+    (i, j) of (i+j+c-1)/(i+j-1), taken by anti-diagonals s = i+j, each with
+    k_s = min(s-1, a, b, a+b+1-s) cells, as one big-int ratio."""
     if min(a, b, c) < 1:
         raise ValueError("sides must be positive")
-    out = Fraction(1)
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                out *= Fraction(i + j + k - 1, i + j + k - 2)
-    assert out.denominator == 1
-    return out.numerator
-
-
-def _reflected(spec: HexagonSpec, m: int, x: tuple[int, ...]) -> tuple[int, ...]:
-    gamma = column_bounds(spec, m)[2]
-    return tuple(sorted(gamma - v for v in x))
+    num = den = 1
+    for s in range(2, a + b + 1):
+        k = min(s - 1, a, b, a + b + 1 - s)
+        num *= (s + c - 1) ** k
+        den *= (s - 1) ** k
+    out, rem = divmod(num, den)
+    if rem:
+        raise AssertionError("MacMahon's product is not an integer")
+    return out
 
 
 def column_law(spec: HexagonSpec, m: int, kind: str = "holes",
@@ -212,7 +213,8 @@ def column_law(spec: HexagonSpec, m: int, kind: str = "holes",
         mp = a + b - m
         law: dict[tuple[int, ...], Fraction] = {}
         for xs in itertools.combinations(range(gamma + 1), c):
-            cnt = lgv_count(spec, m, xs) * lgv_count(spec, mp, _reflected(spec, m, xs))
+            mirrored = tuple(gamma - v for v in reversed(xs))  # the suffix, read backward
+            cnt = lgv_count(spec, m, xs) * lgv_count(spec, mp, mirrored)
             if cnt == 0:
                 continue
             key = xs if kind == "particles" else tuple(
@@ -228,21 +230,13 @@ def column_law(spec: HexagonSpec, m: int, kind: str = "holes",
     raise ValueError(f"unknown method {method!r}")
 
 
-def _squared_vandermonde(h) -> int:
-    d = 1
-    for i in range(len(h)):
-        for j in range(i + 1, len(h)):
-            d *= (h[j] - h[i]) ** 2
-    return d
-
-
 def ensemble_law_exact(weight: ope.DiscreteWeight, m: int) -> dict:
     """Law of the m-particle ensemble with the given weight over sorted
     m-tuples on {0..size}, in exact rationals: mass proportional to
     Delta(h)^2 prod w(h_j)."""
     masses = {}
     for h in itertools.combinations(range(weight.size + 1), m):
-        val = Fraction(_squared_vandermonde(h))
+        val = Fraction(math.prod((y - x) ** 2 for x, y in itertools.combinations(h, 2)))
         for x in h:
             val *= weight.exact_weight(x)
         masses[h] = val
@@ -280,10 +274,11 @@ def _transitions(spec: HexagonSpec, m: int, state: tuple[int, ...]):
     return _moves(state, alpha1, beta1)
 
 
+@functools.lru_cache(maxsize=32)
 def _completion_counts(spec: HexagonSpec) -> list[dict[tuple[int, ...], int]]:
     """layers[m][state]: number of ways to complete the walk family from
     the column-m heights ``state`` to the fixed end column (states with no
-    completion are left out)."""
+    completion are left out).  Cached per spec and shared: read only."""
     a, b, c = spec.a, spec.b, spec.c
     layers: list[dict[tuple[int, ...], int]] = [{} for _ in range(a + b + 1)]
     layers[a + b][tuple(a - b + 2 * k for k in range(c))] = 1
@@ -301,44 +296,31 @@ def count_tilings_dp(spec: HexagonSpec) -> int:
     return _completion_counts(spec)[0].get(start, 0)
 
 
-class _DPSampler:
-    """Exact uniform sampling by forward simulation against completion
-    counts.  Built once per spec, see _dp_sampler."""
-
-    def __init__(self, spec: HexagonSpec):
-        self.spec = spec
-        a, b, c = spec.a, spec.b, spec.c
-        total_estimate = macmahon(a, b, c)
-        if total_estimate > 10_000_000:
-            raise ValueError(
-                f"N(a,b,c) = {total_estimate} exceeds the count-DP limit 1e7; "
-                'method="mcmc" samples exactly at any size'
-            )
-        self.layers = _completion_counts(spec)
-        start = tuple(2 * k for k in range(c))
-        if self.layers[0].get(start, 0) != total_estimate:
-            raise AssertionError("walk DP total disagrees with the product formula")
-
-    def sample(self, rng: np.random.Generator) -> WalkFamily:
-        spec = self.spec
-        a, b, c = spec.a, spec.b, spec.c
-        state = tuple(2 * k for k in range(c))
-        S = np.empty((c, a + b + 1), dtype=np.int64)
-        S[:, 0] = state
-        for m in range(a + b):
-            nxts = [s for s in _transitions(spec, m, state)
-                    if s in self.layers[m + 1]]
-            weights = np.array([self.layers[m + 1][s] for s in nxts], dtype=float)
-            state = nxts[rng.choice(len(nxts), p=weights / weights.sum())]
-            S[:, m + 1] = state
-        fam = WalkFamily(spec=spec, S=S)
-        fam.validate()
-        return fam
-
-
-@functools.lru_cache(maxsize=32)
-def _dp_sampler(spec: HexagonSpec) -> _DPSampler:
-    return _DPSampler(spec)
+def _sample_dp(spec: HexagonSpec, rng: np.random.Generator) -> WalkFamily:
+    """Exact uniform sampling by forward simulation against the completion
+    counts: from each column's state, one ``rng.choice`` over its
+    transitions, weighted by their counts."""
+    a, b, c = spec.a, spec.b, spec.c
+    total = macmahon(a, b, c)
+    if total > 10_000_000:
+        raise ValueError(
+            f"N({a},{b},{c}) ~ 10^{math.log10(total):.1f} exceeds the count-DP limit 1e7; "
+            'method="mcmc" samples exactly at any size'
+        )
+    layers = _completion_counts(spec)
+    state = tuple(2 * k for k in range(c))
+    if layers[0].get(state, 0) != total:
+        raise AssertionError("walk DP total disagrees with the product formula")
+    S = np.empty((c, a + b + 1), dtype=np.int64)
+    S[:, 0] = state
+    for m in range(a + b):
+        nxts = [s for s in _transitions(spec, m, state) if s in layers[m + 1]]
+        weights = np.array([layers[m + 1][s] for s in nxts], dtype=float)
+        state = nxts[rng.choice(len(nxts), p=weights / weights.sum())]
+        S[:, m + 1] = state
+    fam = WalkFamily(spec=spec, S=S)
+    fam.validate()
+    return fam
 
 
 def enumerate_walks(spec: HexagonSpec) -> list[WalkFamily]:
@@ -454,7 +436,7 @@ def sample_hexagon(spec: HexagonSpec, rng: np.random.Generator,
     DP (up to 1e7 tilings); "mcmc" couples LozengeChains from the past (see
     _cftp), at any size."""
     if method == "enumerate":
-        return _dp_sampler(spec).sample(rng)
+        return _sample_dp(spec, rng)
     if method == "mcmc":
         return _cftp(spec, rng)
     raise ValueError(f"unknown method {method!r}")

@@ -618,13 +618,10 @@ def _max_particle_cdf(table: np.ndarray, rank: int, s: int) -> float:
     G = A @ A.T
     G += GB
     _check_gram(G, _RESIDUAL_MAX)
-    try:
-        LB = np.linalg.cholesky(GB[:rank, :rank])
-    except np.linalg.LinAlgError:  # det(G_B) is not positive
+    sign, logdet_b = np.linalg.slogdet(GB[:rank, :rank])
+    if sign <= 0:  # det(G_B) is not positive
         return 0.0
-    L = np.linalg.cholesky(G[:rank, :rank])
-    log_ratio = 2.0 * float(np.log(np.diagonal(LB)).sum() - np.log(np.diagonal(L)).sum())
-    return min(1.0, math.exp(log_ratio))
+    return min(1.0, math.exp(float(logdet_b - np.linalg.slogdet(G[:rank, :rank])[1])))
 
 
 def max_particle_cdf(kernel: ProjectionKernel, s: int) -> float:

@@ -107,12 +107,12 @@ def _peel(S: np.ndarray) -> np.ndarray:
     n = S.shape[0] - 1
     flat = S.reshape((n + 1) ** 2, n)
     w = np.zeros((n + 1) ** 2, dtype=np.int64)
-    for a, b in reversed(list(_diagonals(n, n))):
-        lam, mu, nu = flat[a:b:n], flat[a - n - 1:b - n - 1:n], flat[a - 1:b - 1:n]
-        w[a:b:n] = lam[:, 0] - np.maximum(mu[:, 0], nu[:, 0])
+    for cell, up, left, corner in reversed(list(_diagonals(n, n))):
+        lam, mu, nu = flat[cell], flat[up], flat[left]
+        w[cell] = lam[:, 0] - np.maximum(mu[:, 0], nu[:, 0])
         rho = np.minimum(mu, nu)
         rho[:, :-1] += np.maximum(mu[:, 1:], nu[:, 1:]) - lam[:, 1:]
-        flat[a - n - 2:b - n - 2:n] = rho
+        flat[corner] = rho
     return w.reshape(n + 1, n + 1)[1:, 1:]
 
 

@@ -17,7 +17,9 @@ takes the same values from the stream as the dict-per-domino shuffle kept
 in the tests as its reference.
 
 A brute-force weighted enumerator (exact rational weights) backs the
-statistical tests for small orders.
+statistical tests for small orders.  Its perfect-matching backtracker,
+``_perfect_matchings``, also enumerates the brick-lattice dimer covers of
+brickdimer.py; it lives here, where importing it loads no scipy.
 """
 
 from __future__ import annotations
@@ -209,43 +211,59 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
     return tilings[0] if size is None else tilings
 
 
+def _perfect_matchings(adjacency: list[list[tuple[int, object]]]) -> list[tuple]:
+    """Every perfect matching of the graph on vertices 0..k-1 in which vertex
+    v lists its (neighbour, label) pairs in ``adjacency[v]``, each matching
+    as the tuple of the labels of its pairs.  The first unmatched vertex is
+    paired with each unmatched neighbour in list order, so the matchings come
+    in that backtracking order and each label tuple in the order of its
+    first vertices."""
+    k = len(adjacency)
+    matched = [False] * k
+    labels: list = []
+    out: list[tuple] = []
+
+    def extend(i: int) -> None:
+        while i < k and matched[i]:
+            i += 1
+        if i == k:
+            out.append(tuple(labels))
+            return
+        matched[i] = True
+        for j, label in adjacency[i]:
+            if not matched[j]:
+                matched[j] = True
+                labels.append(label)
+                extend(i + 1)
+                labels.pop()
+                matched[j] = False
+        matched[i] = False
+
+    extend(0)
+    return out
+
+
 def enumerate_tilings(n: int, w: Fraction | int = 1) -> list[tuple[Tiling, Fraction]]:
     """All tilings of A_n with exact rational weights w^(#vertical).
 
-    Cost grows like 2^(n(n+1)/2); orders above 5 are refused.
+    The squares, taken bottom to top and left to right, pair the first one
+    not yet covered with its right neighbour (a horizontal domino), then its
+    upper one (vertical).  Cost grows like 2^(n(n+1)/2); orders above 5 are
+    refused.
     """
     if n > 5:
         raise ValueError(
             f"enumeration of A_{n} would produce 2^{n * (n + 1) // 2} "
             f"~ {2.0 ** (n * (n + 1) // 2):.2e} tilings; refusing (limit n <= 5)"
         )
-    w = Fraction(w)
     squares = sorted(diamond_squares(n), key=lambda s: (s[1], s[0]))
     index = {sq: i for i, sq in enumerate(squares)}
-    total = len(squares)
-    out: list[tuple[Tiling, Fraction]] = []
-    rows: list[tuple[int, int, int]] = []  # anchor rows (x, y, horizontal)
-    covered = [False] * total
-
-    def backtrack(start: int, verticals: int) -> None:
-        i = start
-        while i < total and covered[i]:
-            i += 1
-        if i == total:
-            out.append((Tiling._from_anchors(n, _anchor_array(rows)), w**verticals))
-            return
-        x, y = squares[i]
-        for horizontal, partner in ((1, (x + 1, y)), (0, (x, y + 1))):
-            j = index.get(partner)
-            if j is not None and not covered[j]:
-                covered[i] = covered[j] = True
-                rows.append((x, y, horizontal))
-                backtrack(i + 1, verticals + 1 - horizontal)
-                rows.pop()
-                covered[i] = covered[j] = False
-
-    backtrack(0, 0)
-    return out
+    adjacency = [[(index[p], (x, y, h)) for h, p in ((1, (x + 1, y)), (0, (x, y + 1)))
+                  if p in index] for x, y in squares]
+    powers = [Fraction(w) ** v for v in range(n * (n + 1) + 1)]
+    return [(Tiling._from_anchors(n, _anchor_array(rows)),
+             powers[len(rows) - sum(row[2] for row in rows)])
+            for rows in _perfect_matchings(adjacency)]
 
 
 def vertical_count_law(n: int, q) -> list:

@@ -354,13 +354,28 @@ def test_12_arctic_boundaries():
     chain.sweep(70000)
     vol = plane_partition_height(chain.family()).sum() / (0.5 * c**3)
     assert 0.9 < vol < 1.1  # mixing guard: the bulk shape has relaxed
-    xs = []
+    xs, tops = [], []
     for _ in range(200):
         chain.sweep(100)
-        Zm = max(chain.family().holes(m))
-        xs.append(-(m / c + 1) / 2 + Zm / c)
+        fam = chain.family()
+        xs.append(-(m / c + 1) / 2 + max(fam.holes(m)) / c)
+        tops.append(-(m / c + 1) / 2 + max(fam.particles(m)) / c)
     hex_dev = abs(float(np.mean(xs)) - arctic_boundary(lam, tau_m))
     assert hex_dev < 0.05
+    # The largest hole sits at the window edge gamma with probability 0.998,
+    # whatever the chain does; the top particle moves with it.  Its exact law
+    # comes from the hole kernel K of column m: P[top particle <= s] = det K
+    # on {s+1, ..., gamma}, which is 0 for s < gamma - L.  The chain's mean
+    # must lie within 4 standard errors of the exact one, the error taken by
+    # batch means over 10 batches of 20 consecutive samples.
+    _, _, gamma, L, _ = column_bounds(spec, m)
+    holes = ope.cd_kernel(ope.build_orthonormal(ope.DiscreteWeight.hahn(gamma, c - m, c - m), L))
+    top_exact = gamma - sum(ope.correlation(holes, range(s + 1, gamma + 1))
+                            for s in range(gamma - L, gamma))
+    top_exact = -(m / c + 1) / 2 + top_exact / c
+    top_se = float(np.std(np.reshape(tops, (10, 20)).mean(axis=1), ddof=1)) / math.sqrt(10)
+    top_dev = abs(float(np.mean(tops)) - top_exact)
+    assert top_dev < 4 * top_se, (np.mean(tops), top_exact, top_se)
 
     # (c) substituted Tracy-Widom property: var G(N,N) ~ N^(2/3)
     rng = replica_rng(2028, 0)
@@ -375,7 +390,9 @@ def test_12_arctic_boundaries():
     slope = float(np.polyfit(np.log(sizes), logvar, 1)[0])
     assert abs(slope - 2 / 3) < 0.15
     _report(12, f"edge devs {devs[0.25]:.4f}/{devs[0.5]:.4f}/{devs[0.75]:.4f} (<0.01); "
-                f"hexagon boundary dev {hex_dev:.4f} (<0.05); "
+                f"hexagon boundary dev {hex_dev:.4f} (<0.05), top particle mean "
+                f"{np.mean(tops):.4f} vs exact {top_exact:.4f} ({top_dev / top_se:.2f} "
+                f"batch SE, <4); "
                 f"G(N,N) variance exponent {slope:.3f} (2/3 +- 0.15)")
 
 

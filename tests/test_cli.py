@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
@@ -43,6 +44,17 @@ def test_hexagon_count_output(capsys):
     # N(6,6,6), cross-checked against the LGV binomial determinant
     assert run(["hexagon-count", "--a", "6", "--b", "6", "--c", "6"]) == 0
     assert capsys.readouterr().out.strip() == "1478619421136"
+
+
+def test_hexagon_count_prints_counts_past_the_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(["hexagon-count", "--a", "128", "--b", "128", "--c", "128"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert sys.get_int_max_str_digits() == limit
+    count = hexagon.macmahon(128, 128, 128)
+    assert len(out) == 5585 and out.isdigit()
+    assert out[-30:] == str(count % 10**30).zfill(30)
+    assert out[:30] == str(count // 10**5555)
 
 
 def test_dimer_z_matches_enumeration(capsys):
@@ -299,3 +311,41 @@ def test_config_values_match_flags(tmp_path, capsys):
     cfgfile.write_text(json.dumps({"M": 1, "N": 1, "z": 0.1, "w": 1, "mode": "exact"}))
     assert run(["dimer-z", "--config", str(cfgfile)]) == 0
     assert capsys.readouterr().out == from_flags
+
+
+def test_replica_counts_below_one_are_invalid_input(tmp_path, capsys):
+    for replicas in ("0", "-3"):
+        out = tmp_path / "t.json"
+        assert run(["aztec-sample", "--n", "2", "--q", "0.5", "--replicas", replicas,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid-input: replicas")
+        assert not out.exists()
+
+
+def test_lis_check_negative_draws_are_invalid_input(capsys):
+    assert run(["lis-check", "--alpha", "4", "--n", "6", "--draws", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid-input: draws")
+
+
+def test_growth_cdf_mc_samples_below_one_are_invalid_input(tmp_path, capsys):
+    for mc in ("0", "-10"):
+        out = tmp_path / "cdf.csv"
+        assert run(["growth-cdf", "--M", "1", "--N", "1", "--q", "0.5", "--tmax", "3",
+                    "--mc-samples", mc, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid-input: mc-samples")
+        assert not out.exists()
+
+
+def test_weight_parameters_the_family_does_not_take_are_invalid_input(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    for family, params in (("krawtchouk", "K=10,p=0.5,x=1"),
+                           ("hahn", "N=10,alpha=1,beta=2,p=0.5")):
+        assert run(["ope-kernel", "--family", family, "--params", params, "--N", "3",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid-input: the {family} weight takes no parameters")
+        assert not out.exists()
+    assert run(["ope-kernel", "--family", "krawtchouk", "--params", "K=10,p=0.5",
+                "--N", "3", "--out", str(out)]) == 0

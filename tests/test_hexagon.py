@@ -66,8 +66,11 @@ def test_macmahon_values():
 def test_macmahon_symmetry_and_closed_form():
     for perm in itertools.permutations((2, 3, 4)):
         assert macmahon(*perm) == macmahon(2, 3, 4)
-    for (a, b, c) in [(2, 2, 2), (4, 3, 5), (6, 6, 6)]:
-        assert macmahon(a, b, c) == macmahon_closed_form(a, b, c)
+    for (a, b, c) in [(2, 2, 2), (4, 3, 5), (6, 6, 6), (1, 1, 1), (1, 1, 7), (1, 9, 1),
+                      (5, 1, 1), (1, 4, 6), (3, 1, 8), (7, 5, 1), (2, 2, 9), (3, 5, 2),
+                      (8, 3, 3), (4, 4, 4), (6, 2, 7), (9, 7, 4), (10, 10, 1), (11, 6, 9),
+                      (12, 12, 12), (20, 13, 8), (13, 20, 8), (8, 13, 20), (17, 3, 25)]:
+        assert macmahon(a, b, c) == macmahon_closed_form(a, b, c), (a, b, c)
 
 
 def test_column_bounds_examples():
@@ -306,6 +309,9 @@ def test_exact_sampler_refuses_large():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
         sample_hexagon(HexagonSpec(40, 40, 40), rng)
+    # the guard needs only the product formula: N(128,128,128) has 5585 digits
+    with pytest.raises(ValueError, match=r"N\(128,128,128\) ~ 10\^5584\.\d exceeds the count-DP"):
+        sample_hexagon(HexagonSpec(128, 128, 128), rng)
 
 
 def test_mcmc_uniform_222():
