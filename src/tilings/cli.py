@@ -121,13 +121,23 @@ _FAMILIES = {"krawtchouk": ("K", "p"), "hahn": ("N", "alpha", "beta"),
 
 def _parse_weight(cfg: ExperimentConfig) -> ope.DiscreteWeight:
     family = cfg.params["family"]
-    p = dict(kv.split("=") for kv in str(cfg.params["params"]).split(","))
     if family not in _FAMILIES:
         raise CliError("bad-family", f"unknown weight family {family!r}")
     keys = _FAMILIES[family]
+    p: dict[str, str] = {}
+    for item in str(cfg.params["params"]).split(","):
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"params item {item!r} is not KEY=VALUE")
+        if key in p:
+            raise ValueError(f"params key {key!r} is given twice")
+        p[key] = value
     if set(p) - set(keys):
         raise ValueError(f"the {family} weight takes no parameters "
                          f"{sorted(set(p) - set(keys))}; it takes {list(keys)}")
+    if set(keys) - set(p):
+        raise ValueError(f"the {family} weight needs parameters "
+                         f"{[k for k in keys if k not in p]}; it takes {list(keys)}")
     size, *rest = (p[k] for k in keys)
     return getattr(ope.DiscreteWeight, family.replace("-", "_"))(int(size), *map(float, rest))
 

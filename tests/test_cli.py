@@ -349,3 +349,18 @@ def test_weight_parameters_the_family_does_not_take_are_invalid_input(tmp_path, 
         assert not out.exists()
     assert run(["ope-kernel", "--family", "krawtchouk", "--params", "K=10,p=0.5",
                 "--N", "3", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("params, message", [
+    ("K=10,K=4,p=0.5", "params key 'K' is given twice"),
+    ("K10,p=0.5", "params item 'K10' is not KEY=VALUE"),
+    ("p=0.5", "the krawtchouk weight needs parameters ['K']"),
+])
+def test_malformed_weight_parameters_are_invalid_input(tmp_path, capsys, params, message):
+    out = tmp_path / "k.csv"
+    assert run(["ope-kernel", "--family", "krawtchouk", "--params", params, "--N", "2",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid-input: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()

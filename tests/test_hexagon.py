@@ -29,7 +29,8 @@ from tilings.hexagon import (
     sample_hexagon,
     walks_to_hole_columns,
 )
-from tilings.hexagon import _CFTP_START, _column_states, _transitions
+from tilings.hexagon import (_CFTP_START, _column_states, _stack, _sweep, _transitions,
+                             _unstack)
 
 
 def macmahon_closed_form(a: int, b: int, c: int) -> int:
@@ -405,6 +406,48 @@ def test_sweep_equals_masked_update_at_heights_past_int16():
     # heights reach a + 2c - 2 = 40000: the walls and the dtype come from the spec
     spec = HexagonSpec(40000, 2, 1)
     assert_sweeps_match_oracle(spec, highest_family(spec), 60, 4)
+
+
+@pytest.mark.parametrize("abc, burn_in, sweeps", [((33, 20, 17), 2000, 5),
+                                                  ((128, 128, 128), 500, 2)])
+def test_sweep_equals_masked_update_from_a_mixed_state(abc, burn_in, sweeps):
+    # off the frozen start many sites can flip at once: 2000 sweeps move 85%
+    # of the (33,20,17) sites, and 500 sweeps at 128^3 give the state that the
+    # hexagon benchmark times its sweeps from
+    spec = HexagonSpec(*abc)
+    chain = LozengeChain(spec, np.random.default_rng(70))
+    chain.sweep(burn_in)
+    chain.family().validate()
+    assert (chain.S != LozengeChain(spec, None).S).any()
+    assert_sweeps_match_oracle(spec, chain.S, 71, sweeps)
+
+
+@pytest.mark.parametrize("abc", [(1, 1, 1), (2, 1, 1), (3, 2, 2), (4, 3, 3), (6, 6, 5),
+                                 (9, 4, 6)])
+def test_stack_sweeps_each_family_as_if_alone(abc):
+    # a stack shares each site's coin across its families: three families
+    # swept together end where each ends swept alone on a replay of the
+    # stream.  Walls, end columns and padding keep the values _stack gave
+    # them, so restacking the swept families rebuilds the swept stack.
+    spec = HexagonSpec(*abc)
+    mixed = LozengeChain(spec, np.random.default_rng(80))
+    mixed.sweep(300)
+    fams = [LozengeChain(spec, None).S, highest_family(spec), mixed.S]
+    stack = _stack(spec, *fams)
+    _sweep(spec, stack, np.random.default_rng(81).bit_generator.random_raw, 1000)
+    ends = []
+    for r, F in enumerate(fams):
+        alone = _stack(spec, F)
+        _sweep(spec, alone, np.random.default_rng(81).bit_generator.random_raw, 1000)
+        S, T = np.empty_like(F), np.empty_like(F)
+        _unstack(stack, S, r)
+        _unstack(alone, T)
+        assert np.array_equal(S, T), r
+        WalkFamily(spec, S).validate()
+        ends.append(S)
+    assert (ends[0] <= ends[2]).all() and (ends[2] <= ends[1]).all()
+    for A, B in zip(stack, _stack(spec, *ends)):
+        assert np.array_equal(A, B)
 
 
 def test_sweep_rejects_negative_count():
