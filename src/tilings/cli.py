@@ -12,7 +12,8 @@ identical across reruns.  CSV files carry one comment line recording the
 resolved configuration and then a header row; JSON is used for structured
 objects, with exact integers (tiling counts) rendered as decimal strings.
 A JSON file passed via --config supplies defaults that explicit flags
-override; its parameter values are read as text, exactly like flags.
+override; its values are read as text, exactly like flags, and a key that
+is no flag of the command is an error.
 """
 
 from __future__ import annotations
@@ -289,8 +290,7 @@ def _cmd_hexagon_law(cfg: ExperimentConfig) -> int:
 
 def _cmd_hexagon_sample(cfg: ExperimentConfig) -> int:
     spec = _hex_spec(cfg)
-    method = cfg.params.get("method", "enumerate")
-    fams = _map_replicas(cfg, lambda r, rng: hexagon.sample_hexagon(spec, rng, method))
+    fams = _map_replicas(cfg, lambda r, rng: hexagon.sample_hexagon(spec, rng))
     payload = [hexagon.walks_to_hole_columns(f) for f in fams]
     text = json.dumps({"hole_columns": payload}, sort_keys=True)
     if cfg.out:
@@ -366,16 +366,23 @@ _COMMANDS = {
     "schur-prob": (_cmd_schur_prob, ["lam", "a", "b"]),
     "hexagon-count": (_cmd_hexagon_count, ["a", "b", "c"]),
     "hexagon-law": (_cmd_hexagon_law, ["a", "b", "c", "m", "kind"]),
-    "hexagon-sample": (_cmd_hexagon_sample, ["a", "b", "c", "method"]),
+    "hexagon-sample": (_cmd_hexagon_sample, ["a", "b", "c"]),
     "dimer-z": (_cmd_dimer_z, ["M", "N", "z", "w"]),
     "dimer-corr": (_cmd_dimer_corr, ["M", "N", "z", "w", "points"]),
     "dimer-free-energy": (_cmd_dimer_free_energy, ["M", "N", "z", "scan-w"]),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error: invalid-input:`` line, like
+    every other error, in place of argparse's usage block; -h is unchanged."""
+
+    def error(self, message):
+        raise CliError("invalid-input", message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tilings",
-                                     description="random tiling experiments")
+    parser = _Parser(prog="tilings", description="random tiling experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_fn, params) in _COMMANDS.items():
         p = sub.add_parser(name)
@@ -385,33 +392,54 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--replicas", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--mode", choices=_MODES, default=None)
+        p.add_argument("--mode", default=None)
         p.add_argument("--config", default=None)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, params: list[str]) -> ExperimentConfig:
-    overrides = {}
-    if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+def _read_config(path: str, command: str, params: list[str]) -> dict:
+    """The JSON object in ``path``: each key a flag of ``command`` (its own,
+    or seed, replicas, out or mode), each value a string or a number."""
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file must hold a JSON object, not {json.dumps(config)}")
+    for key, value in config.items():
+        if key not in params and key not in ("seed", "replicas", "out", "mode"):
+            raise ValueError(f"config key {key!r} is not a flag of {command}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config key {key!r} must be a string or a number, "
+                             f"got {json.dumps(value)}")
+    return config
 
-    def pick(flag, default=None):
-        v = getattr(args, flag)
-        return overrides.get(flag, default) if v is None else v
+
+def _config_from_args(args: argparse.Namespace, params: list[str]) -> ExperimentConfig:
+    overrides = _read_config(args.config, args.command, params) if args.config else {}
 
     # flags arrive as text, so config values are read as text too
-    merged = {flag: str(v) for flag in params if (v := pick(flag)) is not None}
+    def pick(flag, default=None):
+        v = getattr(args, flag)
+        v = overrides.get(flag, default) if v is None else v
+        return None if v is None else str(v)
+
+    def integer(flag, default):
+        v = pick(flag, default)
+        try:
+            return int(v)
+        except ValueError:
+            raise ValueError(f"{flag} must be an integer, got {v!r}") from None
+
+    merged = {flag: v for flag in params if (v := pick(flag)) is not None}
     mode = pick("mode", "float")
     if mode not in _MODES:
         raise CliError("bad-mode", f"mode must be one of {_MODES}, got {mode!r}")
-    replicas = int(pick("replicas", 1))
+    replicas = integer("replicas", 1)
     if replicas < 1:
         raise ValueError(f"replicas must be positive, got {replicas}")
     return ExperimentConfig(
         command=args.command,
         params=merged,
-        seed=int(pick("seed", 0)),
+        seed=integer("seed", 0),
         replicas=replicas,
         out=pick("out"),
         mode=mode,
@@ -419,13 +447,12 @@ def _config_from_args(args: argparse.Namespace, params: list[str]) -> Experiment
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    fn, params = _COMMANDS[args.command]
     try:
+        args = _build_parser().parse_args(argv)
+        fn, params = _COMMANDS[args.command]
         cfg = _config_from_args(args, params)
         missing = [p for p in params if p not in cfg.params
-                   and p not in ("kind", "method", "draws", "mc-samples", "r")]
+                   and p not in ("kind", "draws", "mc-samples", "r")]
         if missing:
             raise CliError("missing-flag", f"missing required flags: {missing}")
         return fn(cfg)

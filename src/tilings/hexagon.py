@@ -8,12 +8,11 @@ the L_m complementary sites are the holes, one per vertical rhombus.
 
 Exact machinery: column prefix counts as determinants of binomial
 coefficients (integer arithmetic), MacMahon's product formula as one big-int
-ratio over the anti-diagonals of the a x b base, the exact column laws (holes
-are a Hahn ensemble, particles an associated Hahn ensemble), and one cached
-table of completion counts per hexagon, which both counts the walk families
-and drives an exactly uniform forward sampler.  For hexagons too large to
-count, a checkerboard heat-bath chain of lozenge flips (one bit per site)
-coupled from the past is exact too.
+ratio over the anti-diagonals of the a x b base, and the exact column laws
+(holes are a Hahn ensemble, particles an associated Hahn ensemble), whose
+orthonormal functions draw exactly uniform tilings column by column at any
+size.  A checkerboard heat-bath chain of lozenge flips (one bit per site)
+keeps the uniform law.
 """
 
 from __future__ import annotations
@@ -274,53 +273,15 @@ def _transitions(spec: HexagonSpec, m: int, state: tuple[int, ...]):
     return _moves(state, alpha1, beta1)
 
 
-@functools.lru_cache(maxsize=32)
-def _completion_counts(spec: HexagonSpec) -> list[dict[tuple[int, ...], int]]:
-    """layers[m][state]: number of ways to complete the walk family from
-    the column-m heights ``state`` to the fixed end column (states with no
-    completion are left out).  Cached per spec and shared: read only."""
-    a, b, c = spec.a, spec.b, spec.c
-    layers: list[dict[tuple[int, ...], int]] = [{} for _ in range(a + b + 1)]
-    layers[a + b][tuple(a - b + 2 * k for k in range(c))] = 1
-    for m in range(a + b - 1, -1, -1):
-        for state in _column_states(spec, m):
-            tot = sum(layers[m + 1].get(nxt, 0) for nxt in _transitions(spec, m, state))
-            if tot:
-                layers[m][state] = tot
-    return layers
-
-
 def count_tilings_dp(spec: HexagonSpec) -> int:
-    """Walk-family count by column DP; equals MacMahon's formula."""
-    start = tuple(2 * k for k in range(spec.c))
-    return _completion_counts(spec)[0].get(start, 0)
-
-
-def _sample_dp(spec: HexagonSpec, rng: np.random.Generator) -> WalkFamily:
-    """Exact uniform sampling by forward simulation against the completion
-    counts: from each column's state, one ``rng.choice`` over its
-    transitions, weighted by their counts."""
+    """Walk-family count by column DP, the completions of each column state
+    from the fixed end column back to column 0; equals MacMahon's formula."""
     a, b, c = spec.a, spec.b, spec.c
-    total = macmahon(a, b, c)
-    if total > 10_000_000:
-        raise ValueError(
-            f"N({a},{b},{c}) ~ 10^{math.log10(total):.1f} exceeds the count-DP limit 1e7; "
-            'method="mcmc" samples exactly at any size'
-        )
-    layers = _completion_counts(spec)
-    state = tuple(2 * k for k in range(c))
-    if layers[0].get(state, 0) != total:
-        raise AssertionError("walk DP total disagrees with the product formula")
-    S = np.empty((c, a + b + 1), dtype=np.int64)
-    S[:, 0] = state
-    for m in range(a + b):
-        nxts = [s for s in _transitions(spec, m, state) if s in layers[m + 1]]
-        weights = np.array([layers[m + 1][s] for s in nxts], dtype=float)
-        state = nxts[rng.choice(len(nxts), p=weights / weights.sum())]
-        S[:, m + 1] = state
-    fam = WalkFamily(spec=spec, S=S)
-    fam.validate()
-    return fam
+    layer = {tuple(a - b + 2 * k for k in range(c)): 1}
+    for m in range(a + b - 1, -1, -1):
+        layer = {state: sum(layer.get(s, 0) for s in _transitions(spec, m, state))
+                 for state in _column_states(spec, m)}
+    return layer[tuple(2 * k for k in range(c))]
 
 
 def enumerate_walks(spec: HexagonSpec) -> list[WalkFamily]:
@@ -345,50 +306,49 @@ def enumerate_walks(spec: HexagonSpec) -> list[WalkFamily]:
     return out
 
 
-def _stack(spec: HexagonSpec, *families) -> list[np.ndarray]:
-    """Families as a stack W (R, c+2, a+b+1): W[r, 1:-1] is family r, rows 0
-    and c+1 are walls at -+(a+b+2c), past every height (heights lie in
-    [-b, a+2c-2]), and the dtype is the smallest signed int that holds them.
+def _stack(spec: HexagonSpec, S: np.ndarray) -> list[np.ndarray]:
+    """The walks S as W (c+2, a+b+1): W[1:-1] is S, rows 0 and c+1 are walls
+    at -+(a+b+2c), past every height (heights lie in [-b, a+2c-2]), and the
+    dtype is the smallest signed int that holds them.
 
     W is held as its two parity classes.  Padded by wall entries to an odd
     row length L = (a+b+1) | 1 and, for odd c, by one more wall row, W is
     read row-major; the sites of walk + column parity par are its flat
     entries of parity 1 - par, and class par is those entries in that order,
-    as one C-contiguous (R, n) array.  A site's left and right neighbours
-    are then its flat entries -1 and +1, its walks below and above -L and
-    +L, all in the other class."""
+    as one C-contiguous array.  A site's left and right neighbours are then
+    its flat entries -1 and +1, its walks below and above -L and +L, all in
+    the other class."""
     wall = spec.a + spec.b + 2 * spec.c
     c, cols = spec.c, spec.columns + 1
-    W = np.full((len(families), c + 2 + c % 2, cols | 1), wall, np.min_scalar_type(-wall - 1))
-    W[:, 0], W[:, 1:c + 1, :cols] = -wall, families
-    flat = W.reshape(len(families), -1)
-    return [np.ascontiguousarray(flat[:, 1 - par::2]) for par in (0, 1)]
+    W = np.full((c + 2 + c % 2, cols | 1), wall, np.min_scalar_type(-wall - 1))
+    W[0], W[1:c + 1, :cols] = -wall, S
+    flat = W.reshape(-1)
+    return [flat[1 - par::2].copy() for par in (0, 1)]
 
 
-def _unstack(classes: list[np.ndarray], S: np.ndarray, r: int = 0) -> None:
-    """Write family r of the stack held as ``classes`` (see _stack) into
-    the (c, a+b+1) array S."""
+def _unstack(classes: list[np.ndarray], S: np.ndarray) -> None:
+    """Write the walks held as ``classes`` (see _stack) into the
+    (c, a+b+1) array S."""
     c, cols = S.shape
     W = np.empty((c + 2 + c % 2, cols | 1), classes[0].dtype)
     flat = W.reshape(-1)
-    flat[1::2], flat[::2] = classes[0][r], classes[1][r]
+    flat[1::2], flat[::2] = classes
     S[...] = W[1:c + 1, :cols]
 
 
 def _sweep(spec: HexagonSpec, classes: list[np.ndarray], raw, nsweeps: int) -> None:
-    """nsweeps heat-bath sweeps of each family in the stack, in place, on
-    shared coins.
+    """nsweeps heat-bath sweeps, in place, of the walks held as ``classes``,
+    their two parity classes (see _stack).
 
-    The stack is held as its two parity classes (see _stack).  Class
-    (walk + column) % 2 = 0, then 1, is updated at once over its entries on
-    walk rows 1..c: a site with left == right moves to p = left + 1 on coin
-    1, to left - 1 on coin 0, if below < p < above, by the branch-free
-    mid += ok * (p - mid); a mask keeps the fixed end columns and the
-    padding as they are.
+    Class (walk + column) % 2 = 0, then 1, is updated at once over its
+    entries on walk rows 1..c: a site with left == right moves to
+    p = left + 1 on coin 1, to left - 1 on coin 0, if below < p < above, by
+    the branch-free mid += ok * (p - mid); a mask keeps the fixed end
+    columns and the padding as they are.
 
     The coins are those of two strided views of W per class, the walks of
-    even index, then odd: a view of n sites per family reads raw(ceil(n/64)),
-    and its site i, row-major, takes bit 7 - i % 8 of byte i // 8 of those
+    even index, then odd: a view of n sites reads raw(ceil(n/64)), and its
+    site i, row-major, takes bit 7 - i % 8 of byte i // 8 of those
     64-bit words, laid out little-endian.  Read L entries at a time, a
     class's walk rows hold rows 2t+1 and 2t+2 of W in row t, so each view is
     one rectangular block there.  The sites, the coins they read and so the
@@ -401,8 +361,8 @@ def _sweep(spec: HexagonSpec, classes: list[np.ndarray], raw, nsweeps: int) -> N
         # class par entry i is flat entry 2i + 1 - par; the other class holds
         # its flat neighbours -1, +1, -L and +L at i - par, +1, -L//2, +1+L//2
         i0 = (L + par) // 2  # the first entry on row 1
-        mid = classes[par][:, i0:i0 + n]
-        left, right, below, above = (classes[1 - par][:, i0 + d:i0 + d + n]
+        mid = classes[par][i0:i0 + n]
+        left, right, below, above = (classes[1 - par][i0 + d:i0 + d + n]
                                      for d in (-par, 1 - par, -par - L // 2, 1 - par + L // 2))
         coin, live = np.zeros((pairs, L), np.int8), np.zeros((pairs, L), bool)
         views = []
@@ -452,43 +412,82 @@ class LozengeChain:
         _unstack(stack, self.S)
 
 
-# Sweeps in the last coupling-from-the-past epoch; each earlier one doubles.
-_CFTP_START = 16
+@functools.lru_cache(maxsize=32)
+def _step_rows(spec: HexagonSpec, m: int) -> np.ndarray:
+    """rows[z + 1, e] = psi(z) for e = 0 and rho(z) psi(z + 1) for e = 1,
+    z = -1..gamma, psi zero off 0..gamma: the rows of the moves z -> z + e
+    from column m.  Read only; cached for repeated draws of one hexagon.
+
+    psi is the basis of the column-(m+1) particle weight, the associated
+    Hahn weight f g with f(y) = 1/((delta + y)! (m + c - delta - y)!) from
+    the prefix and g(y) = 1/((delta' + gamma - y)! (m' + c - 1 - delta' -
+    gamma + y)!) from the suffix, for (gamma, delta) of column m + 1 and
+    delta' of m' = a+b-m-1.  So g p = psi sqrt(g/f) for polynomials p of
+    degree < c, and a particle's rows drop the factor sqrt(g/f)(z)."""
+    a, b, c = spec.a, spec.b, spec.c
+    _, _, gamma, _, delta = column_bounds(spec, m + 1)
+    mp = a + b - m - 1
+    dp = column_bounds(spec, mp)[4]
+    weight = ope.DiscreteWeight.associated_hahn(gamma, abs(a - m - 1), abs(b - m - 1))
+    psi = np.zeros((gamma + 3, c))  # sites -1..gamma+1
+    psi[1:-1] = ope._lanczos(weight, c)[2].T
+    z = np.arange(gamma)  # rho^2 = (g/f)(z + 1) / (g/f)(z) where both sites lie in 0..gamma
+    rho = np.ones(gamma + 2)
+    rho[1:-1] = np.sqrt((dp + gamma - z) * (delta + z + 1)
+                        / ((mp + c - dp - gamma + z) * (m + c - delta - z)))
+    rows = np.stack([psi[:-1], rho[:, None] * psi[1:]], axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
-def _cftp(spec: HexagonSpec, rng: np.random.Generator) -> WalkFamily:
-    """Monotone coupling from the past (Propp-Wilson 1996) of the lowest
-    family (the frozen start) and the highest, S[k, m] = beta_m - 2(c-1-k),
-    swept as one stack; shared coins keep every family between them.  Epoch
-    j runs _CFTP_START * 2**j sweeps on a Philox stream keyed once from
-    ``rng``; each restart adds an older epoch and replays the later ones."""
-    bounds = np.array([column_bounds(spec, m)[:2] for m in range(spec.columns + 1)])
-    k = 2 * np.arange(spec.c)[:, None]
-    ends = _stack(spec, bounds[:, 0] + k, bounds[:, 1] - k[::-1])
-    keys: list[np.ndarray] = []
-    while True:
-        keys.append(rng.integers(2**64, size=2, dtype=np.uint64))
-        stack = [A.copy() for A in ends]
-        for j in reversed(range(len(keys))):
-            _sweep(spec, stack, np.random.Philox(key=keys[j]).random_raw, _CFTP_START << j)
-        if all(np.array_equal(A[0], A[1]) for A in stack):
-            S = np.empty((spec.c, spec.columns + 1), np.int64)
-            _unstack(stack, S)
-            return WalkFamily(spec, S)
+def sample_hexagon(spec: HexagonSpec, rng: np.random.Generator) -> WalkFamily:
+    """One exactly uniform random tiling as a walk family, column by column.
 
+    The columns are a Doob h-transform of Bernoulli walks, h the suffix
+    count (Konig-O'Connell-Roch 2002).  From column m, particle k moves to
+    z_k + e_k, e_k in {0, 1}, z_k = x_k for m < b and x_k - 1 after, with
+    probability proportional to det[rows[k, e_k]] (see _step_rows).  With M
+    the matrix of the rows H_k = rows[k, 0] + rows[k, 1], P(e_k = 1) =
+    rows[k, 1] . M^-1 e_k for k = 1..c in turn; the chosen row replaces H_k,
+    and M^-1 follows by Sherman-Morrison, O(c^2) per particle.
 
-def sample_hexagon(spec: HexagonSpec, rng: np.random.Generator,
-                   method: str = "enumerate") -> WalkFamily:
-    """One exactly uniform random tiling as a walk family.
-
-    "enumerate" walks forward against the completion counts of the column
-    DP (up to 1e7 tilings); "mcmc" couples LozengeChains from the past (see
-    _cftp), at any size."""
-    if method == "enumerate":
-        return _sample_dp(spec, rng)
-    if method == "mcmc":
-        return _cftp(spec, rng)
-    raise ValueError(f"unknown method {method!r}")
+    Raises :class:`ope.KernelConditionError` when a raw probability leaves
+    [-1e-8, 1 + 1e-8], p0 + p1 misses 1 by more than 1e-8, or
+    |sum log P(choice) + log N| > 1e-8, N from MacMahon's formula."""
+    tol = 1e-8
+    a, b, c = spec.a, spec.b, spec.c
+    S = np.empty((c, a + b + 1), np.int64)
+    x = np.arange(c)  # the particles, column by column
+    S[:, 0] = 2 * x
+    coins = rng.random((a + b, c))
+    probs = []
+    for m in range(a + b):
+        x -= m >= b  # z_k
+        rows = _step_rows(spec, m)[x + 1]
+        try:
+            D = np.linalg.inv((rows[:, 0] + rows[:, 1]).T)  # D[k] . H_j = [j == k]
+        except np.linalg.LinAlgError as err:
+            raise ope.KernelConditionError(f"singular step matrix at column {m}") from err
+        for k, u in enumerate(coins[m].tolist()):
+            d = D[k]
+            p0, p1 = (rows[k] @ d).tolist()
+            if not (min(p0, p1) >= -tol and max(p0, p1) <= 1 + tol
+                    and abs(p0 + p1 - 1) <= tol):
+                raise ope.KernelConditionError(
+                    f"step probabilities ({p0:.3e}, {p1:.3e}) of particle {k} at column {m}")
+            e = int(u < p1)
+            p = (p0, p1)[e]
+            probs.append(p)
+            x[k] += e
+            # keep D[j] . row k = 0 for the later particles j
+            D[k + 1:] -= np.multiply.outer(D[k + 1:] @ rows[k, e] / p, d)
+        S[:, m + 1] = column_bounds(spec, m + 1)[0] + 2 * x
+    miss = float(np.log(probs).sum()) + math.log(macmahon(a, b, c))
+    if not abs(miss) <= tol:
+        raise ope.KernelConditionError(f"draw probability misses 1/N by {miss:.3e} in log")
+    fam = WalkFamily(spec, S)
+    fam.validate()
+    return fam
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,7 @@ def test_hexagon_law_csv(tmp_path):
 def test_hexagon_sample_json(tmp_path):
     out = tmp_path / "s.json"
     assert run(["hexagon-sample", "--a", "2", "--b", "2", "--c", "2",
-                "--method", "enumerate", "--seed", "3", "--replicas", "2",
-                "--out", str(out)]) == 0
+                "--seed", "3", "--replicas", "2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert len(payload["hole_columns"]) == 2
     assert [len(h) for h in payload["hole_columns"][0]] == [0, 1, 2, 1, 0]
@@ -248,26 +247,38 @@ def test_hexagon_mcmc_replicas_are_independent_streams(tmp_path):
     spec = hexagon.HexagonSpec(3, 2, 2)
     for replicas in (2, 3):
         out = tmp_path / f"m{replicas}.json"
-        assert run(["hexagon-sample", "--a", "3", "--b", "2", "--c", "2",
-                    "--method", "mcmc", "--seed", "4",
+        assert run(["hexagon-sample", "--a", "3", "--b", "2", "--c", "2", "--seed", "4",
                     "--replicas", str(replicas), "--out", str(out)]) == 0
         got = json.loads(out.read_text())["hole_columns"]
         assert got == [
-            hexagon.walks_to_hole_columns(
-                hexagon.sample_hexagon(spec, replica_rng(4, r), "mcmc"))
+            hexagon.walks_to_hole_columns(hexagon.sample_hexagon(spec, replica_rng(4, r)))
             for r in range(replicas)
         ]
 
 
-@pytest.mark.parametrize("method, digest", [
-    ("enumerate", "cfea875f0d0e8965f9243341928c344f46e5fc1fbac2a2e48cf59df6fa98a861"),
-    ("mcmc", "041d6f5d673050cb4233025c896662af667d37980eedb45f8bc92d8b6e872822"),
-])
-def test_hexagon_sample_stdout_is_pinned(capsys, method, digest):
+def test_hexagon_sample_bytes_are_pinned(capsys):
     # how walk families are stored must not change the bytes written
-    assert run(["hexagon-sample", "--a", "4", "--b", "3", "--c", "3", "--method", method,
+    assert run(["hexagon-sample", "--a", "4", "--b", "3", "--c", "3",
                 "--seed", "5", "--replicas", "4"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "8fe716f672c6153c07fcc16789e74fe02b416918e93b550995f87c9685e59715"
+
+
+def test_hexagon_sample_failed_check_exits_2(monkeypatch, capsys):
+    # a draw that misses its certificate is a numerical failure, not a tiling
+    step_rows = hexagon._step_rows
+
+    def tampered(spec, m):
+        rows = step_rows(spec, m).copy()
+        rows[:, 1] *= 1.5
+        return rows
+
+    monkeypatch.setattr(hexagon, "_step_rows", tampered)
+    assert run(["hexagon-sample", "--a", "3", "--b", "3", "--c", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numerical-failure: draw probability misses 1/N")
+    assert captured.err.count("\n") == 1
 
 
 def test_aztec_sample_stdout_is_pinned(capsys):
@@ -364,3 +375,47 @@ def test_malformed_weight_parameters_are_invalid_input(tmp_path, capsys, params,
     assert err.startswith(f"error: invalid-input: {message}")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "config file must hold a JSON object, not [1, 2]"),
+    ({"methd": "mcmc", "sede": 9}, "config key 'methd' is not a flag of hexagon-sample"),
+    ({"method": "mcmc"}, "config key 'method' is not a flag of hexagon-sample"),
+    ({"seed": 1.5}, "seed must be an integer, got '1.5'"),
+    ({"replicas": "two"}, "replicas must be an integer, got 'two'"),
+    ({"seed": None}, "config key 'seed' must be a string or a number, got null"),
+    ({"c": [3]}, "config key 'c' must be a string or a number, got [3]"),
+])
+def test_config_file_is_checked(tmp_path, capsys, config, message):
+    # a key no flag reads, or a value no flag could take, is not ignored
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "s.json"
+    assert run(["hexagon-sample", "--a", "2", "--b", "2", "--c", "2",
+                "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: invalid-input: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["hexagon-sample", "--a", "2", "--b", "2", "--c", "2", "--methd", "mcmc"],
+     "error: invalid-input: unrecognized arguments: --methd mcmc"),
+    (["hexagon-sample", "--a", "2", "--b", "2", "--c", "2", "--method", "mcmc"],
+     "error: invalid-input: unrecognized arguments: --method mcmc"),
+    (["growth-sim", "--M", "2", "--N", "2", "--q", "0.5", "--seed", "x"],
+     "error: invalid-input: argument --seed: invalid int value: 'x'"),
+    (["dimer-z", "--M", "1", "--N", "1", "--z", "1", "--w", "1", "--mode", "bogus"],
+     "error: bad-mode: mode must be one of ('float', 'exact'), got 'bogus'"),
+])
+def test_command_line_errors_are_one_line(capsys, argv, line):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["hexagon-count", "-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tilings hexagon-count")

@@ -11,7 +11,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.stats import chi2 as chi2_dist
 
-from tilings import ope, replica_rng
+from tilings import hexagon, ope, replica_rng
 from tilings.hexagon import (
     HexagonSpec,
     LozengeChain,
@@ -29,8 +29,7 @@ from tilings.hexagon import (
     sample_hexagon,
     walks_to_hole_columns,
 )
-from tilings.hexagon import (_CFTP_START, _column_states, _stack, _sweep, _transitions,
-                             _unstack)
+from tilings.hexagon import _column_states, _stack, _sweep, _transitions, _unstack
 
 
 def macmahon_closed_form(a: int, b: int, c: int) -> int:
@@ -306,13 +305,38 @@ def test_exact_sampler_uniform_111():
         assert abs(v - 2000) < 4 * math.sqrt(4000 * 0.25)
 
 
-def test_exact_sampler_refuses_large():
-    rng = np.random.default_rng(2)
-    with pytest.raises(ValueError):
-        sample_hexagon(HexagonSpec(40, 40, 40), rng)
-    # the guard needs only the product formula: N(128,128,128) has 5585 digits
-    with pytest.raises(ValueError, match=r"N\(128,128,128\) ~ 10\^5584\.\d exceeds the count-DP"):
-        sample_hexagon(HexagonSpec(128, 128, 128), rng)
+def test_exact_sampler_draws_at_40():
+    # N(40,40,40) ~ 10^542: no table of counts, yet every step and the
+    # draw's probability 1/N are checked
+    fam = sample_hexagon(HexagonSpec(40, 40, 40), np.random.default_rng(2))
+    fam.validate()
+    assert fam.S.shape == (40, 81)
+
+
+def test_tampered_step_probabilities_raise(monkeypatch):
+    spec = HexagonSpec(3, 3, 3)
+    step_rows = hexagon._step_rows
+
+    def scaled(factor):
+        def rows(spec, m):
+            out = step_rows(spec, m).copy()
+            out[:, 1] *= factor
+            return out
+        return rows
+
+    # a wrong rho keeps p0 + p1 = 1 at every step, so only the draw's
+    # probability, checked against 1/N, shows it
+    monkeypatch.setattr(hexagon, "_step_rows", scaled(1.5))
+    with pytest.raises(ope.KernelConditionError, match="misses 1/N"):
+        sample_hexagon(spec, np.random.default_rng(9))
+    # a negative rho gives raw probabilities outside [0, 1] ...
+    monkeypatch.setattr(hexagon, "_step_rows", scaled(-2.0))
+    with pytest.raises(ope.KernelConditionError, match="step probabilities"):
+        sample_hexagon(spec, np.random.default_rng(9))
+    # ... and rho = -1 cancels the shared rows of the adjacent particles on column 0
+    monkeypatch.setattr(hexagon, "_step_rows", scaled(-1.0))
+    with pytest.raises(ope.KernelConditionError, match="singular step matrix at column 0"):
+        sample_hexagon(spec, np.random.default_rng(9))
 
 
 def test_mcmc_uniform_222():
@@ -422,32 +446,23 @@ def test_sweep_equals_masked_update_from_a_mixed_state(abc, burn_in, sweeps):
     assert_sweeps_match_oracle(spec, chain.S, 71, sweeps)
 
 
-@pytest.mark.parametrize("abc", [(1, 1, 1), (2, 1, 1), (3, 2, 2), (4, 3, 3), (6, 6, 5),
-                                 (9, 4, 6)])
+@pytest.mark.parametrize("abc", [(1, 1, 1), (2, 1, 1), (3, 2, 3), (4, 3, 3), (6, 6, 5),
+                                 (9, 4, 5)])
 def test_stack_sweeps_each_family_as_if_alone(abc):
-    # a stack shares each site's coin across its families: three families
-    # swept together end where each ends swept alone on a replay of the
-    # stream.  Walls, end columns and padding keep the values _stack gave
-    # them, so restacking the swept families rebuilds the swept stack.
+    # each family, swept alone in its own stack, keeps the walls, the end
+    # columns and the padding _stack gave it, so restacking the swept walks
+    # rebuilds the swept stack.  With odd c the padding holds a wall row.
     spec = HexagonSpec(*abc)
     mixed = LozengeChain(spec, np.random.default_rng(80))
     mixed.sweep(300)
-    fams = [LozengeChain(spec, None).S, highest_family(spec), mixed.S]
-    stack = _stack(spec, *fams)
-    _sweep(spec, stack, np.random.default_rng(81).bit_generator.random_raw, 1000)
-    ends = []
-    for r, F in enumerate(fams):
-        alone = _stack(spec, F)
-        _sweep(spec, alone, np.random.default_rng(81).bit_generator.random_raw, 1000)
-        S, T = np.empty_like(F), np.empty_like(F)
-        _unstack(stack, S, r)
-        _unstack(alone, T)
-        assert np.array_equal(S, T), r
+    for F in (LozengeChain(spec, None).S, highest_family(spec), mixed.S):
+        stack = _stack(spec, F)
+        _sweep(spec, stack, np.random.default_rng(81).bit_generator.random_raw, 1000)
+        S = np.empty_like(F)
+        _unstack(stack, S)
         WalkFamily(spec, S).validate()
-        ends.append(S)
-    assert (ends[0] <= ends[2]).all() and (ends[2] <= ends[1]).all()
-    for A, B in zip(stack, _stack(spec, *ends)):
-        assert np.array_equal(A, B)
+        for A, B in zip(stack, _stack(spec, S)):
+            assert np.array_equal(A, B)
 
 
 def test_sweep_rejects_negative_count():
@@ -459,7 +474,7 @@ def test_sweep_rejects_negative_count():
 
 
 def test_shared_coins_keep_walk_families_ordered():
-    # the monotonicity that coupling from the past relies on
+    # the chain is monotone: shared coins keep ordered families ordered
     spec = HexagonSpec(3, 2, 2)
     fams = [f.S for f in enumerate_walks(spec)]
     lo, hi = LozengeChain(spec, None), LozengeChain(spec, None)
@@ -483,12 +498,13 @@ def test_shared_coins_keep_walk_families_ordered():
         assert np.array_equal(lo.S, hi.S)
 
 
-@pytest.mark.parametrize("abc, draws", [((2, 2, 2), 1000), ((3, 2, 2), 2000)])
+@pytest.mark.parametrize("abc, draws", [((2, 2, 2), 1000), ((3, 2, 2), 2000),
+                                         ((4, 3, 2), 5000), ((3, 3, 3), 10000)])
 def test_mcmc_law_is_uniform_over_all_tilings(abc, draws):
     spec = HexagonSpec(*abc)
     keys = [f.S.tobytes() for f in enumerate_walks(spec)]
     rng = np.random.default_rng(31)
-    counts = Counter(sample_hexagon(spec, rng, "mcmc").S.tobytes() for _ in range(draws))
+    counts = Counter(sample_hexagon(spec, rng).S.tobytes() for _ in range(draws))
     assert set(counts) <= set(keys)
     e = draws / len(keys)
     chi = sum((counts[k] - e) ** 2 / e for k in keys)
@@ -499,7 +515,7 @@ def test_mcmc_column_hole_law_433():
     spec, m, R = HexagonSpec(4, 3, 3), 3, 1000
     law = column_law(spec, m, "holes")
     rng = np.random.default_rng(32)
-    counts = Counter(sample_hexagon(spec, rng, "mcmc").holes(m) for _ in range(R))
+    counts = Counter(sample_hexagon(spec, rng).holes(m) for _ in range(R))
     assert set(counts) <= set(law)
     chi, dof, pooled_e, pooled_o = 0.0, -1, 0.0, 0
     for key, pr in law.items():
@@ -514,53 +530,10 @@ def test_mcmc_column_hole_law_433():
     assert chi2_dist.sf(chi, dof + 1) > 1e-3
 
 
-def test_mcmc_draw_is_where_every_start_is_at_time_0():
-    # run through the same epochs from further back, any start must end at
-    # the draw: each epoch's coins are replayed from its key, never redrawn
-    spec = HexagonSpec(6, 6, 6)
-    starts = [LozengeChain(spec, None).S, highest_family(spec),
-              sample_hexagon(spec, np.random.default_rng(40), "mcmc").S]
-    for seed in range(3):
-        draw = sample_hexagon(spec, np.random.default_rng(seed), "mcmc").S
-        rng = np.random.default_rng(seed)
-        keys = [rng.integers(2**64, size=2, dtype=np.uint64) for _ in range(8)]
-        for S in starts:
-            chain = LozengeChain(spec, None)
-            chain.S = S.copy()
-            for j in reversed(range(8)):
-                chain.rng = np.random.Generator(np.random.Philox(key=keys[j]))
-                chain.sweep(_CFTP_START << j)
-            assert np.array_equal(chain.S, draw)
-
-
-def two_chain_cftp(spec: HexagonSpec, rng: np.random.Generator) -> np.ndarray:
-    """Oracle: coupling from the past on two LozengeChains, each epoch's
-    Philox generator handed to the bottom chain and then the top one."""
-    keys = []
-    while True:
-        keys.append(rng.integers(2**64, size=2, dtype=np.uint64))
-        lo, hi = LozengeChain(spec, None), LozengeChain(spec, None)
-        hi.S = highest_family(spec)
-        for j in reversed(range(len(keys))):
-            for chain in (lo, hi):
-                chain.rng = np.random.Generator(np.random.Philox(key=keys[j]))
-                chain.sweep(_CFTP_START << j)
-        if np.array_equal(lo.S, hi.S):
-            return lo.S
-
-
-@pytest.mark.parametrize("abc", [(2, 2, 2), (3, 2, 2), (4, 3, 3), (6, 6, 6)])
-def test_mcmc_stack_equals_two_chains(abc):
-    spec = HexagonSpec(*abc)
-    for seed in range(4):
-        draw = sample_hexagon(spec, np.random.default_rng(seed), "mcmc")
-        assert np.array_equal(draw.S, two_chain_cftp(spec, np.random.default_rng(seed)))
-
-
 def test_mcmc_volume_mean_is_half_at_8():
     # E[V] = abc/2 on the regular hexagon, by its 180-degree symmetry
     spec = HexagonSpec(8, 8, 8)
-    v = np.array([plane_partition_height(sample_hexagon(spec, replica_rng(3, r), "mcmc")).sum()
+    v = np.array([plane_partition_height(sample_hexagon(spec, replica_rng(3, r))).sum()
                   for r in range(64)]) / 8**3
     assert abs(v.mean() - 0.5) < 4 * v.std(ddof=1) / 8
 
