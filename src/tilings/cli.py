@@ -6,14 +6,16 @@ One executable, one subcommand per experiment::
     tilings hexagon-count --a 2 --b 2 --c 2
     tilings variance-scan --K 4000 --t 0.5 --Lmin 16 --Lmax 1024 --out var.csv
 
-Every stochastic command takes --seed and --replicas; replica r draws from
-an independent Philox stream keyed by (seed, r), so outputs are byte
-identical across reruns.  CSV files carry one comment line recording the
-resolved configuration and then a header row; JSON is used for structured
-objects, with exact integers (tiling counts) rendered as decimal strings.
-A JSON file passed via --config supplies defaults that explicit flags
-override; its values are read as text, exactly like flags, and a key that
-is no flag of the command is an error.
+Each command takes only the flags it reads, declared once with their
+defaults in ``_COMMANDS``; any other flag, or --config key, is an error.
+The stochastic commands take --seed, and those that run replicas take
+--replicas; replica r draws from an independent Philox stream keyed by
+(seed, r), so outputs are byte identical across reruns.  CSV files carry
+one comment line recording the resolved configuration and then a header
+row; JSON is used for structured objects, with exact integers (tiling
+counts) rendered as decimal strings.  A JSON file passed via --config
+supplies defaults that explicit flags override; its values are read as
+text, exactly like flags.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,14 +63,23 @@ class ExperimentConfig:
         }
         return "# config: " + json.dumps(payload, sort_keys=True)
 
+    def get(self, flag: str):
+        """The flag's value as given, else its declared default."""
+        return self.params.get(flag, _COMMANDS[self.command][1][flag])
 
-def _write_csv(cfg: ExperimentConfig, path: str, header: list[str],
-               rows: list[list]) -> None:
-    with open(path, "w") as fh:
+
+def _write_csv(cfg: ExperimentConfig, header: list[str], rows: list[list]) -> None:
+    with open(cfg.out, "w") as fh:
         fh.write(cfg.as_comment() + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_text(cfg: ExperimentConfig, text: str) -> None:
+    """``text`` and a newline, to --out when given, else to stdout."""
+    with open(cfg.out, "w") if cfg.out else nullcontext(sys.stdout) as fh:
+        print(text, file=fh)
 
 
 def _fmt(v) -> str:
@@ -90,18 +102,14 @@ def _cmd_aztec_sample(cfg: ExperimentConfig) -> int:
     n, q = int(cfg.params["n"]), float(cfg.params["q"])
     measure = shuffling.AztecMeasure.from_q(n, q)
     results = _map_replicas(cfg, lambda r, rng: shuffling.sample_aztec(measure, rng))
-    text = '{"tilings": [' + ", ".join(map(aztec.tiling_to_json, results)) + "]}"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_text(cfg, '{"tilings": [' + ", ".join(map(aztec.tiling_to_json, results)) + "]}")
     return 0
 
 
 def _cmd_aztec_stats(cfg: ExperimentConfig) -> int:
     n, q = int(cfg.params["n"]), float(cfg.params["q"])
-    r_level = int(cfg.params.get("r", max(n // 2, 1)))
+    level = cfg.get("r")  # declared without a default: half the order
+    r_level = max(n // 2, 1) if level is None else int(level)
     measure = shuffling.AztecMeasure.from_q(n, q)
 
     def one(r, rng):
@@ -110,8 +118,7 @@ def _cmd_aztec_stats(cfg: ExperimentConfig) -> int:
         return [r, t.vertical_count(), len(particles), max(particles.positions)]
 
     rows = _map_replicas(cfg, one)
-    _write_csv(cfg, cfg.out or "aztec_stats.csv",
-               ["replica", "vertical_dominoes", "particles", "max_particle"], rows)
+    _write_csv(cfg, ["replica", "vertical_dominoes", "particles", "max_particle"], rows)
     return 0
 
 
@@ -120,7 +127,8 @@ _FAMILIES = {"krawtchouk": ("K", "p"), "hahn": ("N", "alpha", "beta"),
              "associated-hahn": ("N", "alpha", "beta")}
 
 
-def _parse_weight(cfg: ExperimentConfig) -> ope.DiscreteWeight:
+def _kernel(cfg: ExperimentConfig) -> ope.ProjectionKernel:
+    """The rank --N projection kernel of the --family weight with --params."""
     family = cfg.params["family"]
     if family not in _FAMILIES:
         raise CliError("bad-family", f"unknown weight family {family!r}")
@@ -140,28 +148,24 @@ def _parse_weight(cfg: ExperimentConfig) -> ope.DiscreteWeight:
         raise ValueError(f"the {family} weight needs parameters "
                          f"{[k for k in keys if k not in p]}; it takes {list(keys)}")
     size, *rest = (p[k] for k in keys)
-    return getattr(ope.DiscreteWeight, family.replace("-", "_"))(int(size), *map(float, rest))
+    make = getattr(ope.DiscreteWeight, family.replace("-", "_"))
+    weight = make(int(size), *map(float, rest))
+    return ope.cd_kernel(ope.build_orthonormal(weight, int(cfg.params["N"])))
 
 
 def _cmd_ope_kernel(cfg: ExperimentConfig) -> int:
-    weight = _parse_weight(cfg)
-    N = int(cfg.params["N"])
-    kern = ope.cd_kernel(ope.build_orthonormal(weight, N))
-    M = kern.matrix()
+    M = _kernel(cfg).matrix()
     rows = [[float(v) for v in row] for row in M]
-    _write_csv(cfg, cfg.out or "kernel.csv",
-               [f"c{j}" for j in range(M.shape[1])], rows)
+    _write_csv(cfg, [f"c{j}" for j in range(M.shape[1])], rows)
     return 0
 
 
 def _cmd_ope_sample(cfg: ExperimentConfig) -> int:
-    weight = _parse_weight(cfg)
-    N = int(cfg.params["N"])
-    kern = ope.cd_kernel(ope.build_orthonormal(weight, N))
+    kern = _kernel(cfg)
     rows = _map_replicas(
         cfg, lambda r, rng: [r, ";".join(map(str, ope.sample_dpp(kern, rng)))]
     )
-    _write_csv(cfg, cfg.out or "ope_samples.csv", ["replica", "sites"], rows)
+    _write_csv(cfg, ["replica", "sites"], rows)
     return 0
 
 
@@ -179,42 +183,47 @@ def _cmd_variance_scan(cfg: ExperimentConfig) -> int:
         lo = (K - L) // 2
         rows.append([L, ope.number_variance(kern, np.arange(lo, lo + L + 1))])
         L *= 2
-    _write_csv(cfg, cfg.out or "var.csv", ["L", "variance"], rows)
+    _write_csv(cfg, ["L", "variance"], rows)
     return 0
+
+
+def _last_passage(W: np.ndarray) -> np.ndarray:
+    """G(M, N) of each M x N weight matrix: the far corner of the bordered
+    table, so an empty lattice gives G = 0, as lpp_cdf_exact has it."""
+    return growth._shapes(W, 1)[..., -1, -1, 0]
 
 
 def _cmd_growth_sim(cfg: ExperimentConfig) -> int:
     M, N, q = int(cfg.params["M"]), int(cfg.params["N"]), float(cfg.params["q"])
 
     def one(r, rng):
-        W = growth.sample_geometric(q, (M, N), rng)
-        return [r, int(growth.lpp_value(W)[-1, -1])]
+        return [r, int(_last_passage(growth.sample_geometric(q, (M, N), rng)))]
 
     rows = _map_replicas(cfg, one)
-    _write_csv(cfg, cfg.out or "g.csv", ["replica", "G"], rows)
+    _write_csv(cfg, ["replica", "G"], rows)
     return 0
 
 
 def _cmd_growth_cdf(cfg: ExperimentConfig) -> int:
     M, N, q = int(cfg.params["M"]), int(cfg.params["N"]), float(cfg.params["q"])
     tmax = int(cfg.params["tmax"])
-    mc = int(cfg.params.get("mc-samples", 20000))
+    mc = int(cfg.get("mc-samples"))
     if mc < 1:
         raise ValueError(f"mc-samples must be positive, got {mc}")
     rng = replica_rng(cfg.seed, 0)
     W = growth.sample_geometric(q, (mc, M, N), rng)
-    g = growth.lpp_value(W)[:, -1, -1]
+    g = _last_passage(W)
     rows = []
     for t in range(tmax + 1):
         rows.append([t, growth.lpp_cdf_exact(M, N, q, t), float((g <= t).mean())])
-    _write_csv(cfg, cfg.out or "growth_cdf.csv", ["t", "exact", "montecarlo"], rows)
+    _write_csv(cfg, ["t", "exact", "montecarlo"], rows)
     return 0
 
 
 def _cmd_lis_check(cfg: ExperimentConfig) -> int:
     alpha = float(cfg.params["alpha"])
     n = int(cfg.params["n"])
-    draws = int(cfg.params.get("draws", 0))
+    draws = int(cfg.get("draws"))
     if draws < 0:
         raise ValueError(f"draws must be nonnegative, got {draws}")
     exact = growth.lis_cdf(alpha, n)
@@ -237,14 +246,14 @@ def _cmd_schur_rsk(cfg: ExperimentConfig) -> int:
     a = _parse_vector(cfg.params["a"])
     b = _parse_vector(cfg.params["b"])
     draws = _map_replicas(cfg, lambda r, rng: schur.sample_schur_matrix(n, a, b, rng))
-    W = np.array(draws, dtype=np.int64).reshape(-1, n, n)
+    W = np.array(draws, dtype=np.int64)
     # only the shapes are read, so batches of replicas share one growth
     batch = max(1, _TABLE_ENTRIES // ((n + 1) ** 2 * max(n, 1)))
     counts: Counter = Counter()
     for r in range(0, len(W), batch):
         counts.update(map(tuple, growth._shapes(W[r:r + batch], n)[:, n, n].tolist()))
     rows = [[",".join(map(str, lam)), counts[lam]] for lam in sorted(counts)]
-    _write_csv(cfg, cfg.out or "shapes.csv", ["lambda", "count"], rows)
+    _write_csv(cfg, ["lambda", "count"], rows)
     return 0
 
 
@@ -278,13 +287,13 @@ def _hex_spec(cfg: ExperimentConfig) -> hexagon.HexagonSpec:
 def _cmd_hexagon_law(cfg: ExperimentConfig) -> int:
     spec = _hex_spec(cfg)
     m = int(cfg.params["m"])
-    kind = cfg.params.get("kind", "holes")
+    kind = cfg.get("kind")
     law = hexagon.column_law(spec, m, kind=kind)
     rows = [
         [";".join(map(str, key)), float(pr), f"{pr.numerator}/{pr.denominator}"]
         for key, pr in sorted(law.items())
     ]
-    _write_csv(cfg, cfg.out or "law.csv", [kind, "probability", "exact"], rows)
+    _write_csv(cfg, [kind, "probability", "exact"], rows)
     return 0
 
 
@@ -292,12 +301,7 @@ def _cmd_hexagon_sample(cfg: ExperimentConfig) -> int:
     spec = _hex_spec(cfg)
     fams = _map_replicas(cfg, lambda r, rng: hexagon.sample_hexagon(spec, rng))
     payload = [hexagon.walks_to_hole_columns(f) for f in fams]
-    text = json.dumps({"hole_columns": payload}, sort_keys=True)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_text(cfg, json.dumps({"hole_columns": payload}, sort_keys=True))
     return 0
 
 
@@ -328,7 +332,7 @@ def _cmd_dimer_corr(cfg: ExperimentConfig) -> int:
     rows = [[";".join(map(str, pts)), brickdimer.correlations(spec, pts)]]
     for p in pts:
         rows.append([str(p), brickdimer.correlations(spec, [p])])
-    _write_csv(cfg, cfg.out or "r.csv", ["points", "correlation"], rows)
+    _write_csv(cfg, ["points", "correlation"], rows)
     return 0
 
 
@@ -349,28 +353,42 @@ def _cmd_dimer_free_energy(cfg: ExperimentConfig) -> int:
             flim = float("nan")
         rows.append([round(w, 10), f, flim])
         w += step
-    _write_csv(cfg, cfg.out or "f.csv", ["w", "free_energy", "limit"], rows)
+    _write_csv(cfg, ["w", "free_energy", "limit"], rows)
     return 0
 
 
+# each command's flags: its default (out None: stdout), or ... if it must be given
 _COMMANDS = {
-    "aztec-sample": (_cmd_aztec_sample, ["n", "q"]),
-    "aztec-stats": (_cmd_aztec_stats, ["n", "q", "r"]),
-    "ope-kernel": (_cmd_ope_kernel, ["family", "params", "N"]),
-    "ope-sample": (_cmd_ope_sample, ["family", "params", "N"]),
-    "variance-scan": (_cmd_variance_scan, ["K", "t", "Lmin", "Lmax"]),
-    "growth-sim": (_cmd_growth_sim, ["M", "N", "q"]),
-    "growth-cdf": (_cmd_growth_cdf, ["M", "N", "q", "tmax", "mc-samples"]),
-    "lis-check": (_cmd_lis_check, ["alpha", "n", "draws"]),
-    "schur-rsk": (_cmd_schur_rsk, ["n", "a", "b"]),
-    "schur-prob": (_cmd_schur_prob, ["lam", "a", "b"]),
-    "hexagon-count": (_cmd_hexagon_count, ["a", "b", "c"]),
-    "hexagon-law": (_cmd_hexagon_law, ["a", "b", "c", "m", "kind"]),
-    "hexagon-sample": (_cmd_hexagon_sample, ["a", "b", "c"]),
-    "dimer-z": (_cmd_dimer_z, ["M", "N", "z", "w"]),
-    "dimer-corr": (_cmd_dimer_corr, ["M", "N", "z", "w", "points"]),
-    "dimer-free-energy": (_cmd_dimer_free_energy, ["M", "N", "z", "scan-w"]),
+    "aztec-sample": (_cmd_aztec_sample, {"n": ..., "q": ..., "seed": 0, "replicas": 1,
+                                         "out": None}),
+    "aztec-stats": (_cmd_aztec_stats, {"n": ..., "q": ..., "r": None, "seed": 0,
+                                       "replicas": 1, "out": "aztec_stats.csv"}),
+    "ope-kernel": (_cmd_ope_kernel, {"family": ..., "params": ..., "N": ...,
+                                     "out": "kernel.csv"}),
+    "ope-sample": (_cmd_ope_sample, {"family": ..., "params": ..., "N": ..., "seed": 0,
+                                     "replicas": 1, "out": "ope_samples.csv"}),
+    "variance-scan": (_cmd_variance_scan, {"K": ..., "t": ..., "Lmin": ..., "Lmax": ...,
+                                           "out": "var.csv"}),
+    "growth-sim": (_cmd_growth_sim, {"M": ..., "N": ..., "q": ..., "seed": 0,
+                                     "replicas": 1, "out": "g.csv"}),
+    "growth-cdf": (_cmd_growth_cdf, {"M": ..., "N": ..., "q": ..., "tmax": ..., "seed": 0,
+                                     "mc-samples": 20000, "out": "growth_cdf.csv"}),
+    "lis-check": (_cmd_lis_check, {"alpha": ..., "n": ..., "draws": 0, "seed": 0}),
+    "schur-rsk": (_cmd_schur_rsk, {"n": ..., "a": ..., "b": ..., "seed": 0,
+                                   "replicas": 1, "out": "shapes.csv"}),
+    "schur-prob": (_cmd_schur_prob, {"lam": ..., "a": ..., "b": ...}),
+    "hexagon-count": (_cmd_hexagon_count, {"a": ..., "b": ..., "c": ...}),
+    "hexagon-law": (_cmd_hexagon_law, {"a": ..., "b": ..., "c": ..., "m": ...,
+                                       "kind": "holes", "out": "law.csv"}),
+    "hexagon-sample": (_cmd_hexagon_sample, {"a": ..., "b": ..., "c": ..., "seed": 0,
+                                             "replicas": 1, "out": None}),
+    "dimer-z": (_cmd_dimer_z, {"M": ..., "N": ..., "z": ..., "w": ..., "mode": "float"}),
+    "dimer-corr": (_cmd_dimer_corr, {"M": ..., "N": ..., "z": ..., "w": ...,
+                                     "points": ..., "out": "r.csv"}),
+    "dimer-free-energy": (_cmd_dimer_free_energy, {"M": ..., "N": ..., "z": ...,
+                                                   "scan-w": ..., "out": "f.csv"}),
 }
+_SETTINGS = ("seed", "replicas", "out", "mode")  # ExperimentConfig fields, not params
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,28 +402,25 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tilings", description="random tiling experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_fn, params) in _COMMANDS.items():
+    for name, (_fn, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for flag in params:
-            p.add_argument(f"--{flag}", dest=flag, default=None)
         # None marks "not given on the command line", so --config fills it
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--replicas", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--mode", default=None)
+        for flag in flags:
+            p.add_argument(f"--{flag}", dest=flag, default=None,
+                           type=int if flag in ("seed", "replicas") else str)
         p.add_argument("--config", default=None)
     return parser
 
 
-def _read_config(path: str, command: str, params: list[str]) -> dict:
-    """The JSON object in ``path``: each key a flag of ``command`` (its own,
-    or seed, replicas, out or mode), each value a string or a number."""
+def _read_config(path: str, command: str, flags: dict) -> dict:
+    """The JSON object in ``path``: each key a flag of ``command``, each value
+    a string or a number."""
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"config file must hold a JSON object, not {json.dumps(config)}")
     for key, value in config.items():
-        if key not in params and key not in ("seed", "replicas", "out", "mode"):
+        if key not in flags:
             raise ValueError(f"config key {key!r} is not a flag of {command}")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError(f"config key {key!r} must be a string or a number, "
@@ -413,49 +428,34 @@ def _read_config(path: str, command: str, params: list[str]) -> dict:
     return config
 
 
-def _config_from_args(args: argparse.Namespace, params: list[str]) -> ExperimentConfig:
-    overrides = _read_config(args.config, args.command, params) if args.config else {}
-
-    # flags arrive as text, so config values are read as text too
-    def pick(flag, default=None):
-        v = getattr(args, flag)
-        v = overrides.get(flag, default) if v is None else v
-        return None if v is None else str(v)
-
-    def integer(flag, default):
-        v = pick(flag, default)
-        try:
-            return int(v)
-        except ValueError:
-            raise ValueError(f"{flag} must be an integer, got {v!r}") from None
-
-    merged = {flag: v for flag in params if (v := pick(flag)) is not None}
-    mode = pick("mode", "float")
-    if mode not in _MODES:
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    flags = _COMMANDS[args.command][1]
+    overrides = _read_config(args.config, args.command, flags) if args.config else {}
+    # flags arrive as text, so config values are read as text too; flags win
+    given = {flag: str(v) for flag, v in overrides.items()}
+    given.update((flag, str(v)) for flag in flags
+                 if (v := getattr(args, flag)) is not None)
+    settings = {f: given.get(f, flags[f]) for f in _SETTINGS if f in flags}
+    if (mode := settings.get("mode", "float")) not in _MODES:
         raise CliError("bad-mode", f"mode must be one of {_MODES}, got {mode!r}")
-    replicas = integer("replicas", 1)
-    if replicas < 1:
-        raise ValueError(f"replicas must be positive, got {replicas}")
-    return ExperimentConfig(
-        command=args.command,
-        params=merged,
-        seed=integer("seed", 0),
-        replicas=replicas,
-        out=pick("out"),
-        mode=mode,
-    )
+    for flag in [f for f in ("replicas", "seed") if f in settings]:
+        try:
+            settings[flag] = int(settings[flag])
+        except ValueError:
+            raise ValueError(f"{flag} must be an integer, got {settings[flag]!r}") from None
+    if settings.get("replicas", 1) < 1:
+        raise ValueError(f"replicas must be positive, got {settings['replicas']}")
+    missing = [f for f, default in flags.items() if default is ... and f not in given]
+    if missing:
+        raise CliError("missing-flag", f"missing required flags: {missing}")
+    params = {flag: v for flag, v in given.items() if flag not in _SETTINGS}
+    return ExperimentConfig(command=args.command, params=params, **settings)
 
 
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        fn, params = _COMMANDS[args.command]
-        cfg = _config_from_args(args, params)
-        missing = [p for p in params if p not in cfg.params
-                   and p not in ("kind", "draws", "mc-samples", "r")]
-        if missing:
-            raise CliError("missing-flag", f"missing required flags: {missing}")
-        return fn(cfg)
+        return _COMMANDS[args.command][0](_config_from_args(args))
     except CliError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)
         return 2

@@ -264,11 +264,11 @@ def schur_measure_prob(lam, a, b, exact: bool = False):
 
 def sample_schur_matrix(n: int, a, b, rng: np.random.Generator) -> np.ndarray:
     """W with independent geometric entries, P[w(j,k) = m] proportional to
-    (a_j b_k)^m."""
+    (a_j b_k)^m; n = 0 gives the 0 x 0 matrix."""
     if len(a) != n or len(b) != n:
         raise ValueError("parameter vectors must have length n")
     u = rng.random((n, n))
     r = np.outer(a, b)
-    if not (0 < r.min() and r.max() < 1):
+    if not np.all((0 < r) & (r < 1)):
         raise ValueError("need 0 < a_j b_k < 1")
     return np.floor(np.log(u) / np.log(r)).astype(np.int64)

@@ -3,12 +3,15 @@
 import hashlib
 import json
 import math
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
 from tilings import hexagon, replica_rng
-from tilings.cli import run
+from tilings.cli import _build_parser, _config_from_args, run
 
 
 def test_aztec_sample_byte_identical(tmp_path):
@@ -419,3 +422,118 @@ def test_help_still_prints_usage(capsys):
         run(["hexagon-count", "-h"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: tilings hexagon-count")
+
+
+def test_empty_lattices_have_no_passage_time(tmp_path, capsys):
+    # M N = 0 cells give G = 0, as lpp_cdf_exact has it; negative sizes stay errors
+    out = tmp_path / "g.csv"
+    for M, N in ((0, 3), (3, 0), (0, 0)):
+        assert run(["growth-sim", "--M", str(M), "--N", str(N), "--q", "0.5",
+                    "--replicas", "2", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["replica,G", "0,0", "1,0"]
+    assert run(["growth-cdf", "--M", "0", "--N", "2", "--q", "0.5", "--tmax", "2",
+                "--mc-samples", "50", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2:] == ["0,1.0,1.0", "1,1.0,1.0", "2,1.0,1.0"]
+    assert run(["growth-sim", "--M", "-1", "--N", "3", "--q", "0.5",
+                "--out", str(tmp_path / "neg.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid-input: ")
+    assert not (tmp_path / "neg.csv").exists()
+
+
+def test_schur_rsk_of_order_zero_draws_the_empty_shape(tmp_path):
+    out = tmp_path / "shapes.csv"
+    assert run(["schur-rsk", "--n", "0", "--a", "", "--b", "", "--replicas", "3",
+                "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["lambda,count", ",3"]
+
+
+# the flags every command shares; each command takes only those it reads
+GENERIC = {
+    "aztec-sample": {"seed", "replicas", "out"},
+    "aztec-stats": {"seed", "replicas", "out"},
+    "ope-kernel": {"out"},
+    "ope-sample": {"seed", "replicas", "out"},
+    "variance-scan": {"out"},
+    "growth-sim": {"seed", "replicas", "out"},
+    "growth-cdf": {"seed", "out"},
+    "lis-check": {"seed"},
+    "schur-rsk": {"seed", "replicas", "out"},
+    "schur-prob": set(),
+    "hexagon-count": set(),
+    "hexagon-law": {"out"},
+    "hexagon-sample": {"seed", "replicas", "out"},
+    "dimer-z": {"mode"},
+    "dimer-corr": {"out"},
+    "dimer-free-energy": {"out"},
+}
+GENERIC_VALUES = {"seed": "1", "replicas": "2", "out": "x.out", "mode": "exact"}
+VALID = {
+    "aztec-sample": "--n 2 --q 0.5",
+    "aztec-stats": "--n 2 --q 0.5",
+    "ope-kernel": "--family krawtchouk --params K=6,p=0.5 --N 3",
+    "ope-sample": "--family krawtchouk --params K=6,p=0.5 --N 3",
+    "variance-scan": "--K 20 --t 0.5 --Lmin 2 --Lmax 4",
+    "growth-sim": "--M 2 --N 2 --q 0.5",
+    "growth-cdf": "--M 2 --N 2 --q 0.5 --tmax 2 --mc-samples 10",
+    "lis-check": "--alpha 1 --n 2",
+    "schur-rsk": "--n 2 --a 0.4,0.3 --b 0.4,0.3",
+    "schur-prob": "--lam 1 --a 0.4 --b 0.4",
+    "hexagon-count": "--a 2 --b 2 --c 2",
+    "hexagon-law": "--a 2 --b 2 --c 2 --m 1",
+    "hexagon-sample": "--a 2 --b 2 --c 2",
+    "dimer-z": "--M 1 --N 1 --z 1 --w 1",
+    "dimer-corr": "--M 2 --N 4 --z 1 --w 0.7 --points 1",
+    "dimer-free-energy": "--M 4 --N 4 --z 1 --scan-w 0.5:0.5:0.1",
+}
+UNREAD = [(command, flag) for command, flags in GENERIC.items()
+          for flag in GENERIC_VALUES if flag not in flags]
+
+
+def test_each_command_takes_the_generic_flags_it_reads():
+    parser = _build_parser()
+    for command, flags in GENERIC.items():
+        argv = [command, *shlex.split(VALID[command])]
+        for flag in flags:
+            argv += [f"--{flag}", GENERIC_VALUES[flag]]
+        cfg = _config_from_args(parser.parse_args(argv))
+        applied = {f for f, v in GENERIC_VALUES.items() if str(getattr(cfg, f)) == v}
+        assert applied == flags, command
+    assert sum(map(len, GENERIC.values())) == 27 and len(UNREAD) == 37
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_flags_a_command_does_not_read_are_invalid_input(tmp_path, monkeypatch, capsys,
+                                                         command, flag, source):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [command, *shlex.split(VALID[command])]
+    value = GENERIC_VALUES[flag]
+    if source == "flag":
+        argv += [f"--{flag}", value]
+        line = f"error: invalid-input: unrecognized arguments: --{flag} {value}"
+    else:
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({flag: value}))
+        argv += ["--config", str(cfgfile)]
+        line = f"error: invalid-input: config key {flag!r} is not a flag of {command}"
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    assert list(work.iterdir()) == []
+
+
+def test_readme_command_lines_parse():
+    # parse only: the README must not promise a flag the parser rejects
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```text\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(re.sub(r"\(add (--mode exact).*\)", r"\1", line))
+             for line in block.splitlines() if line.strip()]
+    assert {line[0] for line in lines} == set(GENERIC)
+    parser = _build_parser()
+    for line in lines:
+        for argv in ([line[:-2], line] if line[-2:] == ["--mode", "exact"] else [line]):
+            cfg = _config_from_args(parser.parse_args(argv))
+            assert cfg.command == line[0]

@@ -689,6 +689,16 @@ def test_schur_matrix_matches_entry_loop():
             sample_schur_matrix(2, a, b, rng)
 
 
+def test_schur_matrix_of_order_zero_is_empty():
+    # n = 0 draws the 0 x 0 matrix, whose empty shape has Schur measure 1
+    W = sample_schur_matrix(0, [], [], np.random.default_rng(3))
+    assert W.shape == (0, 0) and W.dtype == np.int64
+    assert schur_measure_prob((), [], []) == 1
+    for n, a, b in ((1, [], []), (0, [0.5], [0.5]), (1, [math.nan], [0.5])):
+        with pytest.raises(ValueError):
+            sample_schur_matrix(n, a, b, np.random.default_rng(3))
+
+
 def test_shape_law_matches_schur_measure():
     rng = np.random.default_rng(4)
     a = b = [0.4, 0.3]
