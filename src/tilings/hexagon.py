@@ -430,7 +430,7 @@ def _step_rows(spec: HexagonSpec, m: int) -> np.ndarray:
     dp = column_bounds(spec, mp)[4]
     weight = ope.DiscreteWeight.associated_hahn(gamma, abs(a - m - 1), abs(b - m - 1))
     psi = np.zeros((gamma + 3, c))  # sites -1..gamma+1
-    psi[1:-1] = ope._lanczos(weight, c)[2].T
+    psi[1:-1] = ope._lanczos(weight.log_weight(), c)[2].T
     z = np.arange(gamma)  # rho^2 = (g/f)(z + 1) / (g/f)(z) where both sites lie in 0..gamma
     rho = np.ones(gamma + 2)
     rho[1:-1] = np.sqrt((dp + gamma - z) * (delta + z + 1)

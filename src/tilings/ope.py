@@ -21,6 +21,7 @@ construction on the discrete weight, the only Hahn path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -154,24 +155,25 @@ def krawtchouk_recurrence(K: int, p: float, nmax: int) -> tuple[np.ndarray, np.n
     return a, b
 
 
-def _lanczos(weight: DiscreteWeight, nmax: int):
-    """Stieltjes/Lanczos construction on the discrete weight.
+def _lanczos(logw: np.ndarray, nmax: int):
+    """Stieltjes/Lanczos construction on the discrete weight exp(logw) on
+    the sites 0..logw.size - 1; a site with logw = -inf has weight 0.
 
     Works in the phi = p * sqrt(w) representation with full two-pass
     reorthogonalization, which keeps both the coefficients and the basis
     vectors accurate even when the raw weight spans hundreds of orders of
-    magnitude.  Returns (a, b, basis); basis rows are the phi_n themselves.
+    magnitude.  Returns (a, b, basis); basis rows are the phi_n themselves,
+    exactly 0 where the weight is.
     """
-    if nmax > weight.size + 1:
+    if nmax > logw.size:
         raise ValueError("degree bound exceeds support size")
-    logw = weight.log_weight()
     w = np.exp(logw - logw.max())
-    x = np.arange(weight.size + 1, dtype=float)
+    x = np.arange(logw.size, dtype=float)
     psi = np.sqrt(w)
     psi /= np.linalg.norm(psi)
     a = np.zeros(max(nmax - 1, 0))
     b = np.zeros(nmax)
-    basis = np.empty((nmax, weight.size + 1))
+    basis = np.empty((nmax, logw.size))
     basis[0] = psi
     for n in range(nmax):
         b[n] = np.dot(x * basis[n], basis[n])
@@ -192,7 +194,7 @@ def _lanczos(weight: DiscreteWeight, nmax: int):
 
 
 def recurrence_from_weight(weight: DiscreteWeight, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    a, b, _basis = _lanczos(weight, nmax)
+    a, b, _basis = _lanczos(weight.log_weight(), nmax)
     return a, b
 
 
@@ -217,6 +219,11 @@ class OrthonormalSystem:
     table: np.ndarray          # shape (num_degrees, size+1)
     log_total_weight: float
     orthonormality_residual: float = field(default=0.0)
+    # Set when the Newton-Schulz polish ran on a table with the row phi_N:
+    # (phi_N, phi_{N-1}) and sum_{n<N} phi_n^2 as the build gave them.  The
+    # polish moves the table off its three-term recurrence, and with it the
+    # Christoffel-Darboux form of the rank-N kernel (see sample_dpp).
+    unpolished: tuple | None = field(default=None)
 
     @property
     def size(self) -> int:
@@ -370,12 +377,15 @@ def build_orthonormal(weight: DiscreteWeight, N: int,
         x = np.arange(weight.size + 1, dtype=float)
         table = _phi_table(x, logw - log_total, a, b, nrows)
     else:
-        a, b, table = _lanczos(weight, nrows)
+        a, b, table = _lanczos(logw, nrows)
     residual = 0.0
+    unpolished = None
     if validate:
         G = table @ table.T
         residual = _check_gram(G, _RESIDUAL_MAX)
         if residual > 1e-13:
+            if nrows == N + 1:
+                unpolished = (table[[N, N - 1]], np.einsum("nx,nx->x", table[:N], table[:N]))
             # one Newton-Schulz step towards the symmetric orthonormal basis
             # of the same span: with G = I + E the new Gram matrix is
             # I - 3E^2/4 + O(E^3), so kernel projection algebra holds to
@@ -385,6 +395,7 @@ def build_orthonormal(weight: DiscreteWeight, N: int,
     return OrthonormalSystem(
         weight=weight, rank=N, num_degrees=nrows, a=a, b=b, table=table,
         log_total_weight=log_total, orthonormality_residual=residual,
+        unpolished=unpolished,
     )
 
 
@@ -441,6 +452,33 @@ class ProjectionKernel:
             self._matrix = self._phi.T @ self._phi
         return self._matrix
 
+    @functools.cached_property
+    def _cd_form(self):
+        """(G, d, a_N, log w) for the Christoffel-Darboux phase of
+        sample_dpp, or None where it does not apply; computed once, read only.
+
+        G holds the rows (phi_N, phi_{N-1}), so that for x != y
+        (x - y) K(x, y) = a_N (G_0(x) G_1(y) - G_1(x) G_0(y)), and d is
+        K(x, x).  That needs the table row phi_N and a table that satisfies
+        its own three-term recurrence, to within _RECURRENCE_MAX.  After a
+        polish, G and d come from the unpolished table, which satisfies it
+        two orders of magnitude more closely, and only the rank-N kernel has
+        them.  log w is
+        -inf where d is 0, where the weight underflowed in the build."""
+        s, N = self.system, self.rank
+        if N + 1 > s.num_degrees or not _recurrence_residual(s, N) <= _RECURRENCE_MAX:
+            return None
+        if s.unpolished is None:
+            G, d = s.table[[N, N - 1]], self._diagonal()
+        elif N == s.rank:
+            G, d = s.unpolished
+        else:
+            return None
+        logw = np.where(d > 0, s.weight.log_weight(), -np.inf)
+        for arr in (G, d, logw):
+            arr.flags.writeable = False
+        return G, d, float(s.a[N - 1]), logw
+
 
 def cd_kernel(system: OrthonormalSystem, rank: int | None = None) -> ProjectionKernel:
     """Projection kernel of the ensemble with ``rank`` particles (defaults to
@@ -476,59 +514,80 @@ def correlation(kernel: ProjectionKernel, points) -> float:
     return float(np.linalg.det(kernel.block(pts)))
 
 
-# Steps per panel of sample_dpp; 32, 64 and 128 ran within 10% of each
-# other at K=2000, rank 500.
+# Steps per panel of the panel sampler; 32, 64 and 128 ran within 10% of
+# each other at K=2000, rank 500.
 _PANEL = 64
 # For a projection kernel each proposal is accepted with probability >= 3/4,
 # so this many rejections in a row has probability <= 4**-200.
 _MAX_REJECTIONS = 200
+# Points left to the panel sampler on a rebuilt kernel when the
+# Christoffel-Darboux phase of sample_dpp hands over: the last steps have the
+# smallest pivots, which amplify the error of the Christoffel-Darboux kernel.
+_HANDOVER = 32
+# The Christoffel-Darboux phase runs only on tables whose three-term
+# recurrence residual is at most this: the valid tables measured reached
+# 1.1e-10 (K=200, N=150) and 2.1e-11 (K=4000, N=2000); a table with one row
+# negated or overwritten is off by O(1).
+_RECURRENCE_MAX = 1e-9
+# Bound on max|d - diag(Psi^T Psi)| at the hand-over.
+_CERTIFICATE_MAX = 1e-8
 
 
-def sample_dpp(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray:
-    """Exact sample of the rank-N projection DPP by sequential conditioning.
+def _recurrence_residual(system: OrthonormalSystem, rank: int) -> float:
+    """max |x phi_n - a_{n+1} phi_{n+1} - b_n phi_n - a_n phi_{n-1}| over the
+    sites and n < rank, in blocks of _PANEL rows (so no rank x size
+    temporary); NaN when the table is not finite."""
+    T, a, b = system.table, system.a, system.b
+    x = np.arange(T.shape[1], dtype=float)
+    worst = 0.0
+    for n0 in range(0, rank, _PANEL):
+        n1 = min(n0 + _PANEL, rank)
+        r = (x - b[n0:n1, None]) * T[n0:n1]
+        r -= a[n0:n1, None] * T[n0 + 1:n1 + 1]
+        m0 = max(n0, 1)
+        r[m0 - n0:] -= a[m0 - 1:n1 - 1, None] * T[m0 - 1:n1 - 1]
+        worst = max(worst, float(np.abs(r).max()))  # max() keeps a NaN
+    return worst
 
-    Runs in coefficient space (Hough-Krishnapur-Peres-Virag 2006, Alg. 18):
-    step i picks x with probability proportional to the Schur-complement
-    diagonal d, and appends the unit vector u_i along phi_x minus its
-    projection on u_1..u_{i-1} to the orthonormal rows U, projecting twice
-    when d(x) < K(x, x) / 16.  The diagonal update
-    d -= (u_i phi)^2 is delayed over panels of b = max(1, min(64, (N-i)//4))
-    steps and done as one GEMM per panel (Poulson, arXiv:1905.00165).
-    Within a panel, x is proposed from the clipped panel-start diagonal p
-    (one ``rng.random()``) and, after the panel's first step, accepted when
-    ``rng.random() * p[x]`` falls below the current d(x); the accepted site
-    has the exact conditional law.  Below rank 8 every panel has one step,
-    so the stream is read as by the unpanelled sampler, one ``rng.random()``
-    per site.
 
-    Raises :class:`KernelConditionError` when, at a panel start or at the
-    end, the diagonal drops below -1e-8 or its clipped mass differs from
-    N - i by more than 1e-6 (a kernel that is not a rank-N projection), on a
-    non-positive pivot, or after 200 rejected proposals in one step.
-    """
-    phi = kernel._phi
+def _check_diagonal(d: np.ndarray, left: int, step: int):
+    """Raises :class:`KernelConditionError` when the conditional diagonal d
+    has an entry below -1e-8 or, with ``left`` > 0 points to draw, when its
+    clipped mass differs from ``left`` by more than 1e-6.  Returns the
+    clipped diagonal p = max(d, 0) and its cumulative sum, or None when
+    ``left`` is 0."""
+    if d.min() < -1e-8:
+        raise KernelConditionError(f"conditional diagonal reached {d.min():.3e} at step {step}")
+    if left == 0:
+        return None
+    p = np.maximum(d, 0.0)
+    cdf = p.cumsum()
+    tot = cdf[-1]
+    if not abs(tot - left) <= 1e-6:
+        raise KernelConditionError(
+            f"conditional diagonal has mass {tot:.9g} at step {step}, expected {left}"
+        )
+    return p, cdf
+
+
+def _sample_panels(phi: np.ndarray, diag: np.ndarray, rng: np.random.Generator,
+                   step: int = 0) -> np.ndarray:
+    """The projection DPP onto the orthonormal rows ``phi``, whose diagonal
+    is ``diag``, by sequential conditioning in coefficient space, panel by
+    panel (see sample_dpp); returns the sites in the order drawn.  ``step``
+    is the number of the first step in error messages."""
     N, M = phi.shape
     U = np.zeros((N, N))
     W = np.empty((M, N))     # W.T = U @ phi, filled panel by panel
-    diag = kernel._diagonal()
     d = diag.copy()
     chosen = np.empty(N, dtype=int)
     i = 0
     while True:
-        if d.min() < -1e-8:
-            raise KernelConditionError(
-                f"conditional diagonal reached {d.min():.3e} at step {i}"
-            )
-        if i == N:
+        clipped = _check_diagonal(d, N - i, step + i)
+        if clipped is None:
             break
-        p = np.maximum(d, 0.0)
-        cdf = p.cumsum()
-        tot = cdf[-1]
-        if not abs(tot - (N - i)) <= 1e-6:
-            raise KernelConditionError(
-                f"conditional diagonal has mass {tot:.9g} at step {i}, expected {N - i}"
-            )
-        cdf /= tot
+        p, cdf = clipped
+        cdf /= cdf[-1]
         i0 = i
         x = int(cdf.searchsorted(rng.random(), side="right"))
         piv, c = d[x], W[x, :i0]
@@ -543,11 +602,11 @@ def sample_dpp(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray
                         break
                 else:
                     raise KernelConditionError(
-                        f"{_MAX_REJECTIONS} proposals rejected at step {i}"
+                        f"{_MAX_REJECTIONS} proposals rejected at step {step + i}"
                     )
                 c = np.concatenate((W[x, :i0], g))
             if piv <= 0:
-                raise KernelConditionError(f"non-positive pivot {piv:.3e} at step {i}")
+                raise KernelConditionError(f"non-positive pivot {piv:.3e} at step {step + i}")
             v = phi[:, x] - c @ U[:i]
             if piv < diag[x] / 16:
                 # one pass multiplies the orthogonality error of U by up to
@@ -563,6 +622,124 @@ def sample_dpp(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray
         W[:, i0:i] = P.T
         d -= (P * P).sum(axis=0)
         d[chosen[i0:i]] = 0.0
+    return chosen
+
+
+def _sample_cd(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray:
+    """All but the last _HANDOVER points of a draw, by the Christoffel-Darboux
+    form of the conditional kernels, then the rest by _sample_panels on a
+    rebuilt table; returns the sites in the order drawn."""
+    G0, d0, a, logw = kernel._cd_form
+    N = kernel.rank
+    M = G0.shape[1]
+    k = np.arange(1 - M, M, dtype=float)      # k + M - 1 indexes y - x = k
+    with np.errstate(divide="ignore"):
+        recip = 1.0 / k
+        logsq = 2.0 * np.log(np.abs(k))        # -inf at k = 0
+    recip[M - 1] = 0.0
+    G = G0.copy()
+    d = d0.copy()
+    logw = logw.copy()
+    head = N - _HANDOVER
+    chosen = np.empty(head, dtype=int)
+    for i in range(head):
+        p, cdf = _check_diagonal(d, N - i, i)
+        x = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
+        if x == M:  # the product rounded up to the mass
+            x = int(np.flatnonzero(p)[-1])
+        piv = d[x]
+        if not piv > 0:
+            raise KernelConditionError(f"non-positive pivot {piv:.3e} at step {i}")
+        # t = c / d(x) for the column c = K_i(., x) of the conditional
+        # kernel, and the update that keeps (x - y) K_{i+1}(x, y) =
+        # a (G_0(x) G_1(y) - G_1(x) G_0(y)) with K_{i+1} = K_i - c c^T / d(x)
+        # (Gohberg-Kailath-Olshevsky 1995)
+        s = a / piv
+        t = np.dot((s * G[1, x], -s * G[0, x]), G)
+        t *= recip[M - 1 - x:2 * M - 1 - x]
+        t[x] = 1.0                             # so G(x) and d(x) become 0
+        c = t * t
+        c *= piv
+        d -= c
+        d[x] = 0.0
+        G -= G[:, x, None] * t
+        logw += logsq[M - 1 - x:2 * M - 1 - x]
+        chosen[i] = x
+    psi = _rebuild(kernel, chosen, logw, d)
+    return np.concatenate((chosen, _sample_panels(psi, np.einsum("nx,nx->x", psi, psi), rng,
+                                                  step=head)))
+
+
+def _rebuild(kernel: ProjectionKernel, chosen: np.ndarray, logw: np.ndarray,
+             d: np.ndarray) -> np.ndarray:
+    """Orthonormal rows Psi of the kernel conditioned on the ``chosen``
+    sites, rebuilt without the steps that gave ``d``, its diagonal.
+
+    The conditional DPP is the OPE of the weight w(y) prod (y - x)^2 over the
+    chosen x, whose log is ``logw``, and Psi is its Lanczos table.  Where
+    that weight spans more than the double range (next to a saturated
+    region) and the table misses, Psi spans the functions of the kernel's
+    table that vanish on the chosen sites (one QR).  Raises
+    :class:`KernelConditionError` when max|d - diag(Psi^T Psi)| exceeds
+    _CERTIFICATE_MAX for both."""
+    def miss(psi):
+        return float(np.abs(d - np.einsum("nx,nx->x", psi, psi)).max())
+
+    try:
+        psi = _lanczos(logw, kernel.rank - chosen.size)[2]
+    except ConstructionError:  # fewer sites left in the double range than points
+        psi = None
+    if psi is not None and miss(psi) <= _CERTIFICATE_MAX:
+        return psi
+    Q = np.linalg.qr(kernel._phi[:, chosen], mode="complete")[0]
+    psi = Q[:, chosen.size:].T @ kernel._phi
+    worst = miss(psi)
+    if not worst <= _CERTIFICATE_MAX:
+        raise KernelConditionError(f"hand-over certificate {worst:.3e} at step {chosen.size}")
+    return psi
+
+
+def sample_dpp(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray:
+    """Exact sample of the rank-N projection DPP by sequential conditioning
+    (Hough-Krishnapur-Peres-Virag 2006, Alg. 18): step i picks x with
+    probability proportional to the conditional diagonal d.
+
+    Above rank _HANDOVER = 32, on a kernel with the table row phi_N whose
+    table satisfies its three-term recurrence (an orthogonal polynomial
+    ensemble, checked once per kernel), all but the last 32 points come from
+    the Christoffel-Darboux form: the conditional kernels K_i keep
+    (x - y) K_i(x, y) = a_N (G_0(x) G_1(y) - G_1(x) G_0(y)) with a (2, size+1)
+    generator G, starting from (phi_N, phi_{N-1}), so a step costs O(size):
+    one ``rng.random()`` picks x from max(d, 0), c = K_i(., x) comes from G,
+    then d -= c^2 / d(x) and G -= G(x) c / d(x).  The last 32 points are
+    drawn on an exact rebuild of the conditional kernel, Psi^T Psi, where Psi
+    is the Lanczos table of the weight w(y) prod (y - x)^2 over the chosen x
+    or, where that weight spans beyond the double range (next to a saturated
+    region), the table's functions that vanish at the chosen x (one QR); the
+    hand-over certificate max|d - diag(Psi^T Psi)| <= 1e-8 must hold.
+
+    Every other kernel, and the rebuilt tail, runs the panel sampler, in
+    coefficient space: step i appends the unit vector u_i along phi_x minus
+    its projection on u_1..u_{i-1} to the orthonormal rows U, projecting
+    twice when d(x) < K(x, x) / 16.  The diagonal update d -= (u_i phi)^2 is
+    delayed over panels of b = max(1, min(64, (N-i)//4)) steps and done as
+    one GEMM per panel (Poulson, arXiv:1905.00165).  Within a panel, x is
+    proposed from the clipped panel-start diagonal p (one ``rng.random()``)
+    and, after the panel's first step, accepted when ``rng.random() * p[x]``
+    falls below the current d(x); the accepted site has the exact
+    conditional law.  Below rank 8 every panel has one step, so the stream
+    is read as by the unpanelled sampler, one ``rng.random()`` per site.
+
+    Raises :class:`KernelConditionError` when, at a Christoffel-Darboux
+    step, a panel start or the end, the diagonal drops below -1e-8 or its
+    clipped mass differs from N - i by more than 1e-6 (a kernel that is not
+    a rank-N projection), on a non-positive pivot, after 200 rejected
+    proposals in one step, or on a missed hand-over certificate.
+    """
+    if kernel.rank > _HANDOVER and kernel._cd_form is not None:
+        chosen = _sample_cd(kernel, rng)
+    else:
+        chosen = _sample_panels(kernel._phi, kernel._diagonal(), rng)
     chosen.sort()
     return chosen
 

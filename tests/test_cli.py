@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tilings import hexagon, replica_rng
+from tilings import hexagon, ope, replica_rng
 from tilings.cli import _build_parser, _config_from_args, run
 
 
@@ -282,6 +282,28 @@ def test_hexagon_sample_failed_check_exits_2(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: numerical-failure: draw probability misses 1/N")
     assert captured.err.count("\n") == 1
+
+
+def test_ope_sample_failed_certificate_exits_2(monkeypatch, tmp_path, capsys):
+    # a draw whose hand-over misses its certificate writes no samples: here
+    # the Christoffel-Darboux diagonal is off by 5e-7 at site 0
+    cd_form = ope.ProjectionKernel._cd_form.func
+
+    def tampered(kernel):
+        G, d, a, logw = cd_form(kernel)
+        d = d.copy()
+        d[0] += 5e-7
+        return G, d, a, logw
+
+    monkeypatch.setattr(ope.ProjectionKernel, "_cd_form", property(tampered))
+    out = tmp_path / "s.csv"
+    assert run(["ope-sample", "--family", "krawtchouk", "--params", "K=200,p=0.5",
+                "--N", "40", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numerical-failure: hand-over certificate")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_aztec_sample_stdout_is_pinned(capsys):

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from tilings import replica_rng
+from tilings import ope, replica_rng
 from tilings.ope import (
     ConstructionError,
     DiscreteWeight,
     KernelConditionError,
     _ldexp_columns,
     _phi_table,
+    _sample_panels,
     build_orthonormal,
     cd_kernel,
     christoffel_darboux_matrix,
@@ -686,6 +687,122 @@ def test_dpp_sampler_keeps_rows_orthonormal_at_small_pivots():
     kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(2000, 0.5), 500))
     sites = sample_dpp(kern, replica_rng(8304, 98))
     assert len(set(sites.tolist())) == 500
+
+
+def test_panel_sampler_keeps_rows_orthonormal_at_small_pivots():
+    # sample_dpp draws this kernel in the Christoffel-Darboux form, so the
+    # draw that needs the second projection pass is made by the panel
+    # sampler itself
+    kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(2000, 0.5), 500))
+    sites = _sample_panels(kern._phi, kern._diagonal(), replica_rng(8304, 98))
+    assert len(set(sites.tolist())) == 500
+
+
+def hahn_mass_sorted(h, weight):
+    """Exact probability, up to normalization, of the Hahn ensemble on the
+    sites h: Delta(h)^2 prod w(h_j)."""
+    mass = Fraction(1)
+    for i, j in itertools.combinations(range(len(h)), 2):
+        mass *= (h[i] - h[j]) ** 2
+    for x in h:
+        mass *= weight.exact_weight(x)
+    return mass
+
+
+@pytest.mark.parametrize("family, size, param, N, handover, rebuild", [
+    ("krawtchouk", 5, (Fraction(2, 5),), 3, 1, "weight"),
+    ("krawtchouk", 13, (Fraction(1, 2),), 12, 4, "weight"),
+    ("hahn", 8, (2, 1), 4, 2, "weight"),
+    ("krawtchouk", 13, (Fraction(1, 2),), 12, 4, "table"),
+])
+def test_dpp_christoffel_darboux_phase_chi2(monkeypatch, family, size, param, N, handover,
+                                            rebuild):
+    # lowering the hand-over rank makes the Christoffel-Darboux phase draw
+    # all but `handover` points; the tail is drawn on the kernel rebuilt from
+    # the weight or, when its Lanczos table breaks down, from the table.
+    # Cells with under 5 expected draws are pooled.
+    from scipy.stats import chi2 as chi2_dist
+
+    monkeypatch.setattr(ope, "_HANDOVER", handover)
+    weight = getattr(DiscreteWeight, family)(size, *map(float, param))
+    kern = cd_kernel(build_orthonormal(weight, N))
+    assert kern._cd_form is not None
+    if rebuild == "table":
+        def breakdown(logw, nmax):
+            raise ConstructionError("Lanczos breakdown")
+
+        monkeypatch.setattr(ope, "_lanczos", breakdown)
+    if family == "krawtchouk":
+        probs = {h: kraw_mass_sorted(h, N, size, param[0])
+                 for h in itertools.combinations(range(size + 1), N)}
+    else:
+        exact = DiscreteWeight.hahn(size, *param)
+        probs = {h: hahn_mass_sorted(h, exact) for h in itertools.combinations(range(size + 1), N)}
+    total = sum(probs.values())
+    rng = np.random.default_rng(4242)
+    R = 20000
+    counts = {}
+    for _ in range(R):
+        s = tuple(int(x) for x in sample_dpp(kern, rng))
+        counts[s] = counts.get(s, 0) + 1
+    assert sum(counts.get(h, 0) for h in probs) == R
+    chi = 0.0
+    dof = 0
+    pooled_e = pooled_o = 0.0
+    for h, pr in probs.items():
+        e = float(pr / total) * R
+        o = counts.get(h, 0)
+        if e >= 5:
+            chi += (o - e) ** 2 / e
+            dof += 1
+        else:
+            pooled_e += e
+            pooled_o += o
+    if pooled_e > 0:
+        chi += (pooled_o - pooled_e) ** 2 / pooled_e
+        dof += 1
+    assert chi2_dist.sf(chi, dof - 1) > 1e-3
+
+
+def test_edited_table_keeps_the_panel_sampler():
+    # negating phi_5 leaves the kernel as it was but breaks the three-term
+    # recurrence: the kernel is drawn by the panel sampler, seed for seed
+    s = build_orthonormal(DiscreteWeight.krawtchouk(200, 0.5), 40)
+    assert cd_kernel(s)._cd_form is not None
+    s.table[5] *= -1.0
+    kern = cd_kernel(s)
+    assert kern._cd_form is None
+    for seed in range(20):
+        panels = _sample_panels(kern._phi, kern._diagonal(), np.random.default_rng(seed))
+        assert np.array_equal(sample_dpp(kern, np.random.default_rng(seed)), np.sort(panels))
+
+
+def test_polished_table_keeps_its_unpolished_generator():
+    # the polish fires at this size (see test_newton_schulz_polish_at_growth_size);
+    # the rank-N kernel takes its generator and diagonal from the rows the
+    # recurrence gave, and a kernel of another rank has none and keeps the
+    # panel sampler
+    w = DiscreteWeight.krawtchouk(1761, 0.5)
+    raw = build_orthonormal(w, 256, validate=False).table
+    s = build_orthonormal(w, 256)
+    G, d, a, logw = cd_kernel(s)._cd_form
+    assert np.array_equal(G, raw[[256, 255]])
+    assert np.allclose(d, (raw[:256] ** 2).sum(axis=0), rtol=1e-12, atol=0)
+    assert a == s.a[255]
+    assert cd_kernel(s, 200)._cd_form is None
+    assert cd_kernel(build_orthonormal(w, 200))._cd_form is not None
+
+
+def test_missed_handover_certificate_raises():
+    # a Christoffel-Darboux diagonal off by 5e-7 at site 0 passes every
+    # per-step check, and neither rebuild of the tail agrees with it
+    kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(200, 0.5), 40))
+    G, d, a, logw = kern._cd_form
+    d = d.copy()
+    d[0] += 5e-7
+    kern._cd_form = G, d, a, logw
+    with pytest.raises(KernelConditionError, match="hand-over certificate 5.000e-07 at step 8"):
+        sample_dpp(kern, np.random.default_rng(5))
 
 
 @pytest.mark.parametrize("K, N", [(10, 3), (20, 8)])
