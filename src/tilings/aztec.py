@@ -514,7 +514,7 @@ def polar_regions(t: Tiling) -> tuple[str, ...]:
     kind's squares are split into 4-connected components, and the components
     with a square next to the outside of A_n make up the region.
     """
-    from scipy import ndimage  # here, not at the top: its import takes ~70 ms
+    from scipy import ndimage  # here, not at the top: its import takes ~0.3 s
     n = t.order
     grid = t.validate()
     x, y, h = t.anchors.T

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .hexagon import _moves
 from .shuffling import _perfect_matchings
@@ -158,6 +157,7 @@ def free_energy_limit(z: float, w: float) -> float:
         raise ValueError("w/z = 1/2 is the critical point; the limit is not smooth there")
     if r < 0.5:
         return 0.5 * math.log(z)
+    from scipy.integrate import quad  # here, not at the top: its import takes ~0.5 s
     theta0 = (2.0 / math.pi) * math.acos(z / (2 * w))
     val, _err = quad(lambda s: math.log(2 * r * math.cos(s)), 0.0,
                      math.pi * theta0 / 2.0, limit=200)

@@ -32,7 +32,6 @@ import math
 from bisect import bisect_left
 
 import numpy as np
-from scipy.special import jv
 
 from . import ope
 from .aztec import Tiling, _level_particles
@@ -249,6 +248,7 @@ def _check_bessel_tail(alpha: float, K: int) -> None:
 
 
 def _bessel_row(alpha: float, max_order: int) -> np.ndarray:
+    from scipy.special import jv  # here, not at the top: its import takes ~0.3 s
     if not 0 < alpha <= _ALPHA_LIMIT:
         raise ValueError(f"alpha must lie in (0, {_ALPHA_LIMIT:g}]")
     orders = np.arange(max_order + 1)

@@ -19,7 +19,7 @@ in the tests as its reference.
 A brute-force weighted enumerator (exact rational weights) backs the
 statistical tests for small orders.  Its perfect-matching backtracker,
 ``_perfect_matchings``, also enumerates the brick-lattice dimer covers of
-brickdimer.py; it lives here, where importing it loads no scipy.
+brickdimer.py.
 """
 
 from __future__ import annotations

@@ -618,6 +618,50 @@ def test_exact_weights():
     )
 
 
+def gammaln_log_weight(weight):
+    """The log-weight by scipy's gammaln, and its largest log-Gamma term."""
+    x = np.arange(weight.size + 1, dtype=float)
+    N = float(weight.size)
+    if weight.family == "krawtchouk":
+        (p,) = weight.params
+        terms = [gammaln(N + 1), gammaln(x + 1), gammaln(N - x + 1)]
+        logw = terms[0] - terms[1] - terms[2] + x * math.log(p) + (N - x) * math.log1p(-p)
+    else:
+        alpha, beta = weight.params
+        terms = [gammaln(N + alpha - x + 1), gammaln(beta + x + 1),
+                 gammaln(x + 1), gammaln(N - x + 1)]
+        if weight.family == "hahn":
+            logw = terms[0] + terms[1] - terms[2] - terms[3]
+        else:
+            logw = -(terms[2] + terms[3] + terms[0] + terms[1])
+    return logw, max(np.abs(t).max() for t in terms)
+
+
+@pytest.mark.parametrize("weight", [
+    *(DiscreteWeight.krawtchouk(K, p) for K in (5, 200, 2000, 5000) for p in (0.01, 0.4, 0.5)),
+    *(make(N, alpha, beta)
+      for make in (DiscreteWeight.hahn, DiscreteWeight.associated_hahn)
+      for N, alpha, beta in [(8, 2, 1), (200, 20, 20), (2000, 1, 1), (300, 0.5, 2.25),
+                             (1000, -0.5, 7.3), (10, 1e8, 0), (10, 0, 1e12)]),
+], ids=repr)
+def test_log_weight_matches_gammaln(weight):
+    reference, largest = gammaln_log_weight(weight)
+    assert np.abs(weight.log_weight() - reference).max() <= 1e-13 * largest
+
+
+@pytest.mark.parametrize("weight", [
+    DiscreteWeight.krawtchouk(12, Fraction(1, 3)),
+    DiscreteWeight.krawtchouk(30, Fraction(1, 2)),
+    DiscreteWeight.hahn(10, 2, 3),
+    DiscreteWeight.hahn(25, 0, 6),
+    DiscreteWeight.associated_hahn(10, 2, 3),
+    DiscreteWeight.associated_hahn(25, 7, 0),
+], ids=repr)
+def test_log_weight_matches_exact_weight(weight):
+    exact = np.array([float(weight.exact_weight(x)) for x in range(weight.size + 1)])
+    assert np.allclose(np.exp(weight.log_weight()), exact, rtol=1e-12, atol=0)
+
+
 def test_dpp_sampler_chi2_exhaustive_case():
     # law match on an exhaustively-computable ensemble, chi^2 over all
     # C(6,3) = 20 configurations
