@@ -35,7 +35,6 @@ __all__ = [
     "macmahon",
     "column_law",
     "ensemble_law_exact",
-    "count_tilings_dp",
     "enumerate_walks",
     "sample_hexagon",
     "plane_partition_height",
@@ -248,13 +247,6 @@ def ensemble_law_exact(weight: ope.DiscreteWeight, m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _column_states(spec: HexagonSpec, m: int) -> list[tuple[int, ...]]:
-    alpha, beta, _, _, _ = column_bounds(spec, m)
-    c = spec.c
-    heights = [alpha + 2 * i for i in range((beta - alpha) // 2 + 1)]
-    return [tuple(s) for s in itertools.combinations(heights, c)]
-
-
 def _moves(state: tuple[int, ...], lo: int, hi: int) -> list[tuple[int, ...]]:
     """All +-1 steps of the walks at the increasing heights ``state`` that
     keep them non-intersecting and inside [lo, hi], built walk by walk so
@@ -271,17 +263,6 @@ def _transitions(spec: HexagonSpec, m: int, state: tuple[int, ...]):
     """All non-intersecting one-step moves from column m to m+1."""
     alpha1, beta1, _, _, _ = column_bounds(spec, m + 1)
     return _moves(state, alpha1, beta1)
-
-
-def count_tilings_dp(spec: HexagonSpec) -> int:
-    """Walk-family count by column DP, the completions of each column state
-    from the fixed end column back to column 0; equals MacMahon's formula."""
-    a, b, c = spec.a, spec.b, spec.c
-    layer = {tuple(a - b + 2 * k for k in range(c)): 1}
-    for m in range(a + b - 1, -1, -1):
-        layer = {state: sum(layer.get(s, 0) for s in _transitions(spec, m, state))
-                 for state in _column_states(spec, m)}
-    return layer[tuple(2 * k for k in range(c))]
 
 
 def enumerate_walks(spec: HexagonSpec) -> list[WalkFamily]:

@@ -413,6 +413,8 @@ class ProjectionKernel:
     rank: int
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise ValueError(f"rank {self.rank} is negative")
         if self.rank > self.system.num_degrees:
             raise ValueError("rank exceeds available degrees")
         self._phi = self.system.table[: self.rank]
@@ -435,17 +437,23 @@ class ProjectionKernel:
     def trace(self) -> float:
         return float(self._diagonal().sum())
 
+    def _check_sites(self, sites: np.ndarray) -> None:
+        # a negative site must not be read from the other end of the window
+        if sites.size and not (0 <= sites.min() and sites.max() <= self.size):
+            raise ValueError(f"site outside the support 0..{self.size}")
+
     def row(self, x: int) -> np.ndarray:
+        """K(x, .) over the window; x must lie in 0..size."""
+        self._check_sites(np.asarray(x))
         return self._phi[:, x] @ self._phi
 
     def block(self, I, J=None) -> np.ndarray:
         """K restricted to rows I and columns J (default I); every site must
-        lie in 0..size, so a negative one is not read from the other end."""
+        lie in 0..size."""
         I = np.asarray(I, dtype=int)
         J = I if J is None else np.asarray(J, dtype=int)
-        for sites in (I, J):
-            if sites.size and not (0 <= sites.min() and sites.max() <= self.size):
-                raise ValueError(f"site outside the support 0..{self.size}")
+        self._check_sites(I)
+        self._check_sites(J)
         return self._phi[:, I].T @ self._phi[:, J]
 
     def matrix(self) -> np.ndarray:
@@ -515,13 +523,7 @@ def correlation(kernel: ProjectionKernel, points) -> float:
     return float(np.linalg.det(kernel.block(pts)))
 
 
-# Steps per panel of the panel sampler; 32, 64 and 128 ran within 10% of
-# each other at K=2000, rank 500.
-_PANEL = 64
-# For a projection kernel each proposal is accepted with probability >= 3/4,
-# so this many rejections in a row has probability <= 4**-200.
-_MAX_REJECTIONS = 200
-# Points left to the panel sampler on a rebuilt kernel when the
+# Points left to the sequential sampler on a rebuilt kernel when the
 # Christoffel-Darboux phase of sample_dpp hands over: the last steps have the
 # smallest pivots, which amplify the error of the Christoffel-Darboux kernel.
 _HANDOVER = 32
@@ -532,17 +534,19 @@ _HANDOVER = 32
 _RECURRENCE_MAX = 1e-9
 # Bound on max|d - diag(Psi^T Psi)| at the hand-over.
 _CERTIFICATE_MAX = 1e-8
+# Table rows per block of _recurrence_residual.
+_RESIDUAL_ROWS = 64
 
 
 def _recurrence_residual(system: OrthonormalSystem, rank: int) -> float:
     """max |x phi_n - a_{n+1} phi_{n+1} - b_n phi_n - a_n phi_{n-1}| over the
-    sites and n < rank, in blocks of _PANEL rows (so no rank x size
+    sites and n < rank, in blocks of _RESIDUAL_ROWS rows (so no rank x size
     temporary); NaN when the table is not finite."""
     T, a, b = system.table, system.a, system.b
     x = np.arange(T.shape[1], dtype=float)
     worst = 0.0
-    for n0 in range(0, rank, _PANEL):
-        n1 = min(n0 + _PANEL, rank)
+    for n0 in range(0, rank, _RESIDUAL_ROWS):
+        n1 = min(n0 + _RESIDUAL_ROWS, rank)
         r = (x - b[n0:n1, None]) * T[n0:n1]
         r -= a[n0:n1, None] * T[n0 + 1:n1 + 1]
         m0 = max(n0, 1)
@@ -571,65 +575,43 @@ def _check_diagonal(d: np.ndarray, left: int, step: int):
     return p, cdf
 
 
-def _sample_panels(phi: np.ndarray, diag: np.ndarray, rng: np.random.Generator,
-                   step: int = 0) -> np.ndarray:
+def _sample_sequential(phi: np.ndarray, diag: np.ndarray, rng: np.random.Generator,
+                       step: int = 0) -> np.ndarray:
     """The projection DPP onto the orthonormal rows ``phi``, whose diagonal
-    is ``diag``, by sequential conditioning in coefficient space, panel by
-    panel (see sample_dpp); returns the sites in the order drawn.  ``step``
-    is the number of the first step in error messages."""
-    N, M = phi.shape
-    U = np.zeros((N, N))
-    W = np.empty((M, N))     # W.T = U @ phi, filled panel by panel
+    is ``diag``, by sequential conditioning in coefficient space (see
+    sample_dpp); returns the sites in the order drawn.  ``step`` is the
+    number of the first step in error messages."""
+    N = phi.shape[0]
+    U = np.empty((N, N))
     d = diag.copy()
     chosen = np.empty(N, dtype=int)
-    i = 0
-    while True:
-        clipped = _check_diagonal(d, N - i, step + i)
-        if clipped is None:
-            break
-        p, cdf = clipped
+    for i in range(N):
+        cdf = _check_diagonal(d, N - i, step + i)[1]
         cdf /= cdf[-1]
-        i0 = i
         x = int(cdf.searchsorted(rng.random(), side="right"))
-        piv, c = d[x], W[x, :i0]
-        panel = set()
-        for i in range(i0, i0 + max(1, min(_PANEL, (N - i0) // 4))):
-            if i > i0:
-                for _ in range(_MAX_REJECTIONS):
-                    x = int(cdf.searchsorted(rng.random(), side="right"))
-                    g = U[i0:i] @ phi[:, x]
-                    piv = 0.0 if x in panel else d[x] - g @ g
-                    if rng.random() * p[x] < piv:
-                        break
-                else:
-                    raise KernelConditionError(
-                        f"{_MAX_REJECTIONS} proposals rejected at step {step + i}"
-                    )
-                c = np.concatenate((W[x, :i0], g))
-            if piv <= 0:
-                raise KernelConditionError(f"non-positive pivot {piv:.3e} at step {step + i}")
-            v = phi[:, x] - c @ U[:i]
-            if piv < diag[x] / 16:
-                # one pass multiplies the orthogonality error of U by up to
-                # sqrt(K(x,x) / d(x)); left unchecked, small pivots compound
-                # it until d drops below -1e-8.  A second pass resets it
-                # ("twice is enough").
-                v -= (U[:i] @ v) @ U[:i]
-            U[i] = v / math.sqrt(v @ v)
-            chosen[i] = x
-            panel.add(x)
-        i += 1
-        P = U[i0:i] @ phi
-        W[:, i0:i] = P.T
-        d -= (P * P).sum(axis=0)
-        d[chosen[i0:i]] = 0.0
+        piv = d[x]
+        if piv <= 0:
+            raise KernelConditionError(f"non-positive pivot {piv:.3e} at step {step + i}")
+        v = phi[:, x] - (U[:i] @ phi[:, x]) @ U[:i]
+        if piv < diag[x] / 16:
+            # one pass multiplies the orthogonality error of U by up to
+            # sqrt(K(x,x) / d(x)); left unchecked, small pivots compound
+            # it until d drops below -1e-8.  A second pass resets it
+            # ("twice is enough").
+            v -= (U[:i] @ v) @ U[:i]
+        U[i] = v / math.sqrt(v @ v)
+        w = U[i] @ phi
+        d -= w * w
+        d[x] = 0.0
+        chosen[i] = x
+    _check_diagonal(d, 0, step + N)
     return chosen
 
 
 def _sample_cd(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray:
     """All but the last _HANDOVER points of a draw, by the Christoffel-Darboux
-    form of the conditional kernels, then the rest by _sample_panels on a
-    rebuilt table; returns the sites in the order drawn."""
+    form of the conditional kernels, then the rest by _sample_sequential on
+    a rebuilt table; returns the sites in the order drawn."""
     G0, d0, a, logw = kernel._cd_form
     N = kernel.rank
     M = G0.shape[1]
@@ -667,8 +649,8 @@ def _sample_cd(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray
         logw += logsq[M - 1 - x:2 * M - 1 - x]
         chosen[i] = x
     psi = _rebuild(kernel, chosen, logw, d)
-    return np.concatenate((chosen, _sample_panels(psi, np.einsum("nx,nx->x", psi, psi), rng,
-                                                  step=head)))
+    tail = _sample_sequential(psi, np.einsum("nx,nx->x", psi, psi), rng, step=head)
+    return np.concatenate((chosen, tail))
 
 
 def _rebuild(kernel: ProjectionKernel, chosen: np.ndarray, logw: np.ndarray,
@@ -719,28 +701,22 @@ def sample_dpp(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray
     region), the table's functions that vanish at the chosen x (one QR); the
     hand-over certificate max|d - diag(Psi^T Psi)| <= 1e-8 must hold.
 
-    Every other kernel, and the rebuilt tail, runs the panel sampler, in
-    coefficient space: step i appends the unit vector u_i along phi_x minus
-    its projection on u_1..u_{i-1} to the orthonormal rows U, projecting
-    twice when d(x) < K(x, x) / 16.  The diagonal update d -= (u_i phi)^2 is
-    delayed over panels of b = max(1, min(64, (N-i)//4)) steps and done as
-    one GEMM per panel (Poulson, arXiv:1905.00165).  Within a panel, x is
-    proposed from the clipped panel-start diagonal p (one ``rng.random()``)
-    and, after the panel's first step, accepted when ``rng.random() * p[x]``
-    falls below the current d(x); the accepted site has the exact
-    conditional law.  Below rank 8 every panel has one step, so the stream
-    is read as by the unpanelled sampler, one ``rng.random()`` per site.
+    Every other kernel, and the rebuilt tail, is drawn one step at a time in
+    coefficient space: step i picks x from the clipped diagonal max(d, 0) as
+    ``rng.choice`` does (one ``rng.random()`` against the normalized CDF),
+    appends the unit vector u_i along phi_x minus its projection on
+    u_0..u_{i-1} to the orthonormal rows U, projecting twice when
+    d(x) < K(x, x) / 16, then sets d -= (u_i phi)^2 and d(x) = 0.
 
-    Raises :class:`KernelConditionError` when, at a Christoffel-Darboux
-    step, a panel start or the end, the diagonal drops below -1e-8 or its
-    clipped mass differs from N - i by more than 1e-6 (a kernel that is not
-    a rank-N projection), on a non-positive pivot, after 200 rejected
-    proposals in one step, or on a missed hand-over certificate.
+    Raises :class:`KernelConditionError` when, at any step or at the end,
+    the diagonal drops below -1e-8 or its clipped mass differs from N - i by
+    more than 1e-6 (a kernel that is not a rank-N projection), on a
+    non-positive pivot, or on a missed hand-over certificate.
     """
     if kernel.rank > _HANDOVER and kernel._cd_form is not None:
         chosen = _sample_cd(kernel, rng)
     else:
-        chosen = _sample_panels(kernel._phi, kernel._diagonal(), rng)
+        chosen = _sample_sequential(kernel._phi, kernel._diagonal(), rng)
     chosen.sort()
     return chosen
 

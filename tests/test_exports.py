@@ -65,7 +65,8 @@ for alpha, beta in [(2, 3), (0.5, 1.25)]:
 assert np.isfinite(DiscreteWeight.krawtchouk(30, 0.3).log_weight()).all()
 assert 0 < lpp_cdf_exact(16, 16, 0.5, 20) < 1
 rng = replica_rng(seed=1, replica=0)
-# rank 60 > 32: the Christoffel-Darboux phase, the rebuild and the tail
+# rank 60 > 32: the Christoffel-Darboux phase, the rebuild, and the
+# sequential steps that draw the last 32 points
 kernel = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(200, 0.5), 60))
 assert len(sample_dpp(kernel, rng)) == 60
 sample_hexagon(HexagonSpec(3, 3, 3), rng)

@@ -21,7 +21,6 @@ from tilings.hexagon import (
     column_law,
     corner_gue_exponent,
     corner_gue_statistics,
-    count_tilings_dp,
     enumerate_walks,
     lgv_count,
     macmahon,
@@ -29,7 +28,7 @@ from tilings.hexagon import (
     sample_hexagon,
     walks_to_hole_columns,
 )
-from tilings.hexagon import _column_states, _stack, _sweep, _transitions, _unstack
+from tilings.hexagon import _stack, _sweep, _transitions, _unstack
 
 
 def macmahon_closed_form(a: int, b: int, c: int) -> int:
@@ -42,6 +41,24 @@ def macmahon_closed_form(a: int, b: int, c: int) -> int:
         )
     assert out.denominator == 1
     return out.numerator
+
+
+def column_states(spec: HexagonSpec, m: int) -> list[tuple[int, ...]]:
+    """Every set of c walk heights on column m, intersecting or not."""
+    alpha, beta, _, _, _ = column_bounds(spec, m)
+    heights = [alpha + 2 * i for i in range((beta - alpha) // 2 + 1)]
+    return list(itertools.combinations(heights, spec.c))
+
+
+def count_tilings_dp(spec: HexagonSpec) -> int:
+    """Oracle: walk-family count by column DP, the completions of each column
+    state from the fixed end column back to column 0."""
+    a, b, c = spec.a, spec.b, spec.c
+    layer = {tuple(a - b + 2 * k for k in range(c)): 1}
+    for m in range(a + b - 1, -1, -1):
+        layer = {state: sum(layer.get(s, 0) for s in _transitions(spec, m, state))
+                 for state in column_states(spec, m)}
+    return layer[tuple(2 * k for k in range(c))]
 
 
 def hahn_normalization_exact(N: int, m: int, alpha: int, beta: int) -> Fraction:
@@ -149,7 +166,7 @@ def test_transitions_match_sign_product_in_order():
     for abc in [(4, 4, 4), (3, 3, 6), (5, 2, 3)]:
         spec = HexagonSpec(*abc)
         for m in range(spec.a + spec.b):
-            for state in _column_states(spec, m):
+            for state in column_states(spec, m):
                 assert _transitions(spec, m, state) == transitions_by_sign_product(spec, m, state)
 
 

@@ -15,7 +15,7 @@ from tilings.ope import (
     KernelConditionError,
     _ldexp_columns,
     _phi_table,
-    _sample_panels,
+    _sample_sequential,
     build_orthonormal,
     cd_kernel,
     christoffel_darboux_matrix,
@@ -55,8 +55,8 @@ def kraw_mass_sorted(h, N, K, p):
 
 
 def sequential_dpp_oracle(kernel, rng):
-    """Oracle: the unpanelled sampler, conditioning on one site per step with
-    a GEMV over the kernel rows; one ``rng.choice`` per site."""
+    """Oracle: sequential conditioning on one site per step with a GEMV over
+    the kernel rows; one ``rng.choice`` per site."""
     N = kernel.rank
     d = kernel.diagonal()
     C = np.empty((N, kernel.size + 1))
@@ -377,6 +377,9 @@ def test_sites_outside_the_window_are_rejected():
             correlation(K, pts)
     with pytest.raises(ValueError, match="site outside"):
         K.block([0, 1], [2, 11])
+    for x in (-1, 11):
+        with pytest.raises(ValueError, match="site outside the support 0..10"):
+            K.row(x)
     assert max_particle_cdf(K, -3) == max_particle_cdf(K, -1) < 1e-12
     assert number_variance(K, [10, 0]) > 0
 
@@ -606,6 +609,10 @@ def test_contour_validation_path():
 def test_build_rejects_bad_rank():
     with pytest.raises(ValueError):
         build_orthonormal(DiscreteWeight.krawtchouk(5, 0.5), 8)
+    # a negative rank would slice table[:-1] and draw rank - 1 points
+    s = build_orthonormal(DiscreteWeight.krawtchouk(5, 0.5), 4)
+    with pytest.raises(ValueError, match="rank -1 is negative"):
+        cd_kernel(s, -1)
 
 
 def test_exact_weights():
@@ -684,20 +691,27 @@ def test_dpp_sampler_chi2_exhaustive_case():
     assert chi2_dist.sf(chi, dof - 1) > 1e-3
 
 
-@pytest.mark.parametrize("K, p, N", [(3, 0.5, 2), (5, 0.4, 3), (6, 0.3, 1)])
+@pytest.mark.parametrize("K, p, N", [(3, 0.5, 2), (5, 0.4, 3), (6, 0.3, 1), (200, 0.5, 40)])
 def test_dpp_sampler_matches_sequential_oracle_below_rank_8(K, p, N):
-    # below rank 8 every panel has one step, so the stream is read as by
-    # the unpanelled sampler: one rng.random() per site
-    kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(K, p), N))
-    rng, rng_oracle = np.random.default_rng(77), np.random.default_rng(77)
-    for _ in range(2000):
+    # outside the Christoffel-Darboux phase the stream is read as the
+    # oracle reads it: one rng.random() per site.  At rank 40, negating
+    # phi_5 leaves the kernel as it was but breaks the three-term
+    # recurrence, so every point is drawn by the sequential steps
+    s = build_orthonormal(DiscreteWeight.krawtchouk(K, p), N)
+    if N < 8:
+        pairs = [(np.random.default_rng(77), np.random.default_rng(77))] * 2000
+    else:
+        s.table[5] *= -1.0
+        assert cd_kernel(s)._cd_form is None
+        pairs = [(np.random.default_rng(seed), np.random.default_rng(seed)) for seed in range(50)]
+    kern = cd_kernel(s)
+    for rng, rng_oracle in pairs:
         assert np.array_equal(sample_dpp(kern, rng), sequential_dpp_oracle(kern, rng_oracle))
 
 
 def test_dpp_sampler_chi2_with_panels():
-    # K = 13, N = 12: 91 configurations; the first panels have 3 and 2
-    # steps, so proposals are accepted or rejected against the running
-    # diagonal.  Cells with under 5 expected draws are pooled.
+    # K = 13, N = 12: 91 configurations, every step drawn from the running
+    # conditional diagonal.  Cells with under 5 expected draws are pooled.
     from scipy.stats import chi2 as chi2_dist
 
     rng = np.random.default_rng(2024)
@@ -735,10 +749,10 @@ def test_dpp_sampler_keeps_rows_orthonormal_at_small_pivots():
 
 def test_panel_sampler_keeps_rows_orthonormal_at_small_pivots():
     # sample_dpp draws this kernel in the Christoffel-Darboux form, so the
-    # draw that needs the second projection pass is made by the panel
-    # sampler itself
+    # draw that needs the second projection pass (on 15 of its steps) is
+    # made by the sequential sampler itself
     kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(2000, 0.5), 500))
-    sites = _sample_panels(kern._phi, kern._diagonal(), replica_rng(8304, 98))
+    sites = _sample_sequential(kern._phi, kern._diagonal(), replica_rng(8304, 98))
     assert len(set(sites.tolist())) == 500
 
 
@@ -810,22 +824,22 @@ def test_dpp_christoffel_darboux_phase_chi2(monkeypatch, family, size, param, N,
 
 def test_edited_table_keeps_the_panel_sampler():
     # negating phi_5 leaves the kernel as it was but breaks the three-term
-    # recurrence: the kernel is drawn by the panel sampler, seed for seed
+    # recurrence: the kernel is drawn by the sequential sampler, seed for seed
     s = build_orthonormal(DiscreteWeight.krawtchouk(200, 0.5), 40)
     assert cd_kernel(s)._cd_form is not None
     s.table[5] *= -1.0
     kern = cd_kernel(s)
     assert kern._cd_form is None
     for seed in range(20):
-        panels = _sample_panels(kern._phi, kern._diagonal(), np.random.default_rng(seed))
-        assert np.array_equal(sample_dpp(kern, np.random.default_rng(seed)), np.sort(panels))
+        steps = _sample_sequential(kern._phi, kern._diagonal(), np.random.default_rng(seed))
+        assert np.array_equal(sample_dpp(kern, np.random.default_rng(seed)), np.sort(steps))
 
 
 def test_polished_table_keeps_its_unpolished_generator():
     # the polish fires at this size (see test_newton_schulz_polish_at_growth_size);
     # the rank-N kernel takes its generator and diagonal from the rows the
-    # recurrence gave, and a kernel of another rank has none and keeps the
-    # panel sampler
+    # recurrence gave, and a kernel of another rank has none and is drawn by
+    # the sequential sampler
     w = DiscreteWeight.krawtchouk(1761, 0.5)
     raw = build_orthonormal(w, 256, validate=False).table
     s = build_orthonormal(w, 256)
