@@ -23,7 +23,9 @@ probability 1 - q), the partition read off the north polar zone of an Aztec
 tiling (lambda_r = n minus the largest particle on zig-zag level r, which is
 the index of the first particle on that level), Poissonized
 longest-increasing-subsequence sampling by patience sorting, and the discrete
-Bessel kernel with its Fredholm gap determinant.
+Bessel kernel with its Fredholm gap determinant.  Every Bessel truncation is
+set by one rule, _bessel_cut: the first order from which the a-priori tail
+bound _bessel_tail drops at most _TAIL_TOL = 1e-15.
 """
 
 from __future__ import annotations
@@ -239,12 +241,15 @@ def _bessel_tail(alpha: float, K: int) -> float:
     return math.exp(K * math.log(alpha) - 2 * math.lgamma(K + 1)) / (1 - r) ** 2
 
 
-def _check_bessel_tail(alpha: float, K: int) -> None:
-    """Raise unless Bessel orders K and up may be dropped (see _bessel_tail)."""
-    bound = _bessel_tail(alpha, K)
-    if not bound <= _TAIL_TOL:
-        raise ValueError(f"Bessel tail from order {K} at alpha={alpha:g} is bounded "
-                         f"only by {bound:.1e}, above {_TAIL_TOL:g}")
+def _bessel_cut(alpha: float, lo: int) -> int:
+    """The first order K >= lo whose tail _bessel_tail(alpha, K) is at most
+    _TAIL_TOL: every truncation below drops only orders K and up."""
+    if not 0 < alpha <= _ALPHA_LIMIT:
+        raise ValueError(f"alpha must lie in (0, {_ALPHA_LIMIT:g}]")
+    K = lo
+    while _bessel_tail(alpha, K) > _TAIL_TOL:
+        K += 1
+    return K
 
 
 def _bessel_row(alpha: float, max_order: int) -> np.ndarray:
@@ -262,37 +267,34 @@ def bessel_kernel(alpha: float, x: int, y: int) -> float:
     """Discrete Bessel kernel
     B(x,y) = sqrt(alpha) (J_x J_{y+1} - J_{x+1} J_y) / (x - y), J_* at
     2 sqrt(alpha); the diagonal is the limit value sum_{k>=1} J_{x+k}^2,
-    summed while the dropped orders are bounded by _TAIL_TOL."""
+    summed below the order _bessel_cut(alpha, x + 1)."""
     if x < 0 or y < 0:
         raise ValueError("orders must be nonnegative")
-    tail = int(max(60, 8 * math.sqrt(alpha)))
-    J = _bessel_row(alpha, max(x, y) + tail + 40)
     if x != y:
+        J = _bessel_row(alpha, max(x, y) + 1)
         return math.sqrt(alpha) * (J[x] * J[y + 1] - J[x + 1] * J[y]) / (x - y)
-    _check_bessel_tail(alpha, len(J))
+    J = _bessel_row(alpha, _bessel_cut(alpha, x + 1) - 1)
     return float(np.sum(J[x + 1:] ** 2))
 
 
 def _bessel_gram(alpha: float, lo: int, size: int) -> np.ndarray:
     """B restricted to {lo, ..., lo+size-1} via the series form
-    B(x,y) = sum_{k>=1} J_{x+k} J_{y+k} (manifestly symmetric PSD), each
-    series cut where the dropped orders are bounded by _TAIL_TOL."""
-    tail = int(max(60, 8 * math.sqrt(alpha))) + 40
-    J = _bessel_row(alpha, lo + size + tail)
-    # by Cauchy-Schwarz an entry drops at most the squares from lo + tail + 1 on
-    _check_bessel_tail(alpha, lo + tail + 1)
-    T = np.stack([J[lo + i + 1: lo + i + 1 + tail] for i in range(size)])
+    B(x,y) = sum_{k>=1} J_{x+k} J_{y+k} (manifestly symmetric PSD), every
+    series w = _bessel_cut(alpha, lo + 1) - lo - 1 terms long.  The tails
+    of both factors of an entry start at order lo + w + 1 or above, so by
+    Cauchy-Schwarz an entry drops at most _TAIL_TOL."""
+    w = _bessel_cut(alpha, lo + 1) - lo - 1
+    J = _bessel_row(alpha, lo + size + w - 1)
+    T = J[lo + 1 + np.add.outer(np.arange(size), np.arange(w))]
     return T @ T.T
 
 
 def lis_cdf(alpha: float, n: int) -> float:
     """P[LIS of the Poissonized ensemble <= n] = det(I - B) on {n, n+1, ...},
-    truncated to a block whose dropped trace is bounded by _TAIL_TOL."""
+    truncated to the rows x < _bessel_cut(alpha, n + 1) - 1: the trace of
+    the rows dropped is at most _TAIL_TOL."""
     if n < 0:
         return 0.0
-    size = int(max(60, 8 * math.sqrt(alpha)))
-    B = _bessel_gram(alpha, n, size)
-    # the rows dropped, x >= n + size, hold trace sum_{x >= n+size} B(x, x)
-    _check_bessel_tail(alpha, n + size + 1)
+    B = _bessel_gram(alpha, n, _bessel_cut(alpha, n + 1) - n - 1)
     lam = np.clip(np.linalg.eigvalsh(B), 0.0, 1.0)
     return float(np.prod(1.0 - lam))

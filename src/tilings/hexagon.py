@@ -189,13 +189,21 @@ def macmahon(a: int, b: int, c: int) -> int:
     return out
 
 
-def column_law(spec: HexagonSpec, m: int, kind: str = "holes",
-               method: str = "lgv") -> dict[tuple[int, ...], Fraction]:
-    """Exact law of the column-m configuration (sorted tuples -> Fraction).
+def _column_weight(spec: HexagonSpec, m: int, kind: str) -> ope.DiscreteWeight:
+    """Weight of the column-m ensemble on {0, ..., gamma_m}: Hahn with
+    (alpha, beta) = (|a - m|, |b - m|) for the holes, associated Hahn with
+    the same parameters for the particles."""
+    family = {"holes": ope.DiscreteWeight.hahn,
+              "particles": ope.DiscreteWeight.associated_hahn}[kind]
+    return family(column_bounds(spec, m)[2], abs(spec.a - m), abs(spec.b - m))
 
-    method 'lgv' multiplies prefix and suffix walk counts and divides by the
-    tiling total; 'hahn' evaluates the Hahn (holes) or associated Hahn
-    (particles) ensemble directly.  Both are exact and agree.
+
+def column_law(spec: HexagonSpec, m: int, kind: str = "holes") -> dict[tuple[int, ...], Fraction]:
+    """Exact law of the column-m configuration (sorted tuples -> Fraction):
+    prefix times suffix walk counts over the tiling total.  It equals the
+    law of the column's Hahn (holes) or associated Hahn (particles) ensemble,
+    ensemble_law_exact(_column_weight(spec, m, kind), n), which the tests
+    check exactly.
     """
     if kind not in ("holes", "particles"):
         raise ValueError("kind must be 'holes' or 'particles'")
@@ -206,26 +214,19 @@ def column_law(spec: HexagonSpec, m: int, kind: str = "holes",
         raise ValueError(
             f"column window C({gamma + 1},{n_pts}) too large for exact tabulation"
         )
-    if method == "lgv":
-        total = macmahon(a, b, c)
-        mp = a + b - m
-        law: dict[tuple[int, ...], Fraction] = {}
-        for xs in itertools.combinations(range(gamma + 1), c):
-            mirrored = tuple(gamma - v for v in reversed(xs))  # the suffix, read backward
-            cnt = lgv_count(spec, m, xs) * lgv_count(spec, mp, mirrored)
-            if cnt == 0:
-                continue
-            key = xs if kind == "particles" else tuple(
-                v for v in range(gamma + 1) if v not in set(xs)
-            )
-            law[key] = Fraction(cnt, total)
-        return law
-    if method == "hahn":
-        alpha, beta = abs(a - m), abs(b - m)
-        if kind == "holes":
-            return ensemble_law_exact(ope.DiscreteWeight.hahn(gamma, alpha, beta), L)
-        return ensemble_law_exact(ope.DiscreteWeight.associated_hahn(gamma, alpha, beta), c)
-    raise ValueError(f"unknown method {method!r}")
+    total = macmahon(a, b, c)
+    mp = a + b - m
+    law: dict[tuple[int, ...], Fraction] = {}
+    for xs in itertools.combinations(range(gamma + 1), c):
+        mirrored = tuple(gamma - v for v in reversed(xs))  # the suffix, read backward
+        cnt = lgv_count(spec, m, xs) * lgv_count(spec, mp, mirrored)
+        if cnt == 0:
+            continue
+        key = xs if kind == "particles" else tuple(
+            v for v in range(gamma + 1) if v not in set(xs)
+        )
+        law[key] = Fraction(cnt, total)
+    return law
 
 
 def ensemble_law_exact(weight: ope.DiscreteWeight, m: int) -> dict:
@@ -409,9 +410,8 @@ def _step_rows(spec: HexagonSpec, m: int) -> np.ndarray:
     _, _, gamma, _, delta = column_bounds(spec, m + 1)
     mp = a + b - m - 1
     dp = column_bounds(spec, mp)[4]
-    weight = ope.DiscreteWeight.associated_hahn(gamma, abs(a - m - 1), abs(b - m - 1))
     psi = np.zeros((gamma + 3, c))  # sites -1..gamma+1
-    psi[1:-1] = ope._lanczos(weight.log_weight(), c)[2].T
+    psi[1:-1] = ope._lanczos(_column_weight(spec, m + 1, "particles").log_weight(), c)[2].T
     z = np.arange(gamma)  # rho^2 = (g/f)(z + 1) / (g/f)(z) where both sites lie in 0..gamma
     rho = np.ones(gamma + 2)
     rho[1:-1] = np.sqrt((dp + gamma - z) * (delta + z + 1)
@@ -509,8 +509,7 @@ def corner_gue_statistics(spec: HexagonSpec, m: int, replicas: int,
     if m > spec.b:
         raise ValueError("take a column in the left part, m <= b")
     _, _, gamma, L, _ = column_bounds(spec, m)
-    weight = ope.DiscreteWeight.hahn(gamma, abs(spec.a - m), abs(spec.b - m))
-    kernel = ope.cd_kernel(ope.build_orthonormal(weight, L))
+    kernel = ope.cd_kernel(ope.build_orthonormal(_column_weight(spec, m, "holes"), L))
     out = np.empty((replicas, L))
     for r in range(replicas):
         xs = ope.sample_dpp(kernel, rng)

@@ -12,11 +12,17 @@ so most degrees cost only their arithmetic.  The rank-N projection kernel
     K(x, y) = sum_{n<N} phi_n(x) phi_n(y)
 
 drives everything downstream: determinantal correlations, exact sequential
-DPP sampling, counting statistics, gap probabilities and number variance.
+DPP sampling (every step draws its site by one routine, _draw_site), counting
+statistics, gap probabilities and number variance.  Sites are read in one
+place, ProjectionKernel._check_sites, which takes only integers in the window.
 
 Recurrence coefficients: Krawtchouk has a simple closed form; both Hahn
 families take their coefficients and their table from a Stieltjes/Lanczos
 construction on the discrete weight, the only Hahn path.
+
+The limit shapes are closed forms: the Krawtchouk density, edge and
+fluctuation scale, the discrete sine kernel, and the Hahn edge, whose
+supremum over the saturation constraint is taken exactly (no search).
 """
 
 from __future__ import annotations
@@ -437,23 +443,28 @@ class ProjectionKernel:
     def trace(self) -> float:
         return float(self._diagonal().sum())
 
-    def _check_sites(self, sites: np.ndarray) -> None:
-        # a negative site must not be read from the other end of the window
-        if sites.size and not (0 <= sites.min() and sites.max() <= self.size):
+    def _check_sites(self, sites) -> np.ndarray:
+        """``sites`` as an integer array; raises ValueError unless every site
+        is an integer in 0..size (a float is not cast, and a negative site is
+        not read from the other end of the window)."""
+        sites = np.asarray(sites)
+        if not sites.size:
+            return sites.astype(int)
+        if not np.issubdtype(sites.dtype, np.integer):
+            raise ValueError(f"sites must be integers, got {sites.dtype} values")
+        if not (0 <= sites.min() and sites.max() <= self.size):
             raise ValueError(f"site outside the support 0..{self.size}")
+        return sites
 
     def row(self, x: int) -> np.ndarray:
-        """K(x, .) over the window; x must lie in 0..size."""
-        self._check_sites(np.asarray(x))
-        return self._phi[:, x] @ self._phi
+        """K(x, .) over the window; x must be an integer in 0..size."""
+        return self._phi[:, self._check_sites(x)] @ self._phi
 
     def block(self, I, J=None) -> np.ndarray:
         """K restricted to rows I and columns J (default I); every site must
-        lie in 0..size."""
-        I = np.asarray(I, dtype=int)
-        J = I if J is None else np.asarray(J, dtype=int)
-        self._check_sites(I)
-        self._check_sites(J)
+        be an integer in 0..size."""
+        I = self._check_sites(I)
+        J = I if J is None else self._check_sites(J)
         return self._phi[:, I].T @ self._phi[:, J]
 
     def matrix(self) -> np.ndarray:
@@ -555,16 +566,20 @@ def _recurrence_residual(system: OrthonormalSystem, rank: int) -> float:
     return worst
 
 
-def _check_diagonal(d: np.ndarray, left: int, step: int):
+def _check_diagonal(d: np.ndarray, step: int) -> None:
     """Raises :class:`KernelConditionError` when the conditional diagonal d
-    has an entry below -1e-8 or, with ``left`` > 0 points to draw, when its
-    clipped mass differs from ``left`` by more than 1e-6.  Returns the
-    clipped diagonal p = max(d, 0) and its cumulative sum, or None when
-    ``left`` is 0."""
+    has an entry below -1e-8."""
     if d.min() < -1e-8:
         raise KernelConditionError(f"conditional diagonal reached {d.min():.3e} at step {step}")
-    if left == 0:
-        return None
+
+
+def _draw_site(d: np.ndarray, left: int, step: int, rng: np.random.Generator) -> int:
+    """A site x drawn with probability proportional to the clipped
+    conditional diagonal max(d, 0), by one ``rng.random()`` scaled to its
+    mass, so d(x) > 0.  Raises :class:`KernelConditionError` when d fails
+    _check_diagonal or its clipped mass differs from ``left``, the points
+    still to draw, by more than 1e-6."""
+    _check_diagonal(d, step)
     p = np.maximum(d, 0.0)
     cdf = p.cumsum()
     tot = cdf[-1]
@@ -572,7 +587,10 @@ def _check_diagonal(d: np.ndarray, left: int, step: int):
         raise KernelConditionError(
             f"conditional diagonal has mass {tot:.9g} at step {step}, expected {left}"
         )
-    return p, cdf
+    x = int(cdf.searchsorted(rng.random() * tot, side="right"))
+    if x == d.size:  # the product rounded up to the mass
+        x = int(np.flatnonzero(p)[-1])
+    return x
 
 
 def _sample_sequential(phi: np.ndarray, diag: np.ndarray, rng: np.random.Generator,
@@ -586,12 +604,8 @@ def _sample_sequential(phi: np.ndarray, diag: np.ndarray, rng: np.random.Generat
     d = diag.copy()
     chosen = np.empty(N, dtype=int)
     for i in range(N):
-        cdf = _check_diagonal(d, N - i, step + i)[1]
-        cdf /= cdf[-1]
-        x = int(cdf.searchsorted(rng.random(), side="right"))
+        x = _draw_site(d, N - i, step + i, rng)
         piv = d[x]
-        if piv <= 0:
-            raise KernelConditionError(f"non-positive pivot {piv:.3e} at step {step + i}")
         v = phi[:, x] - (U[:i] @ phi[:, x]) @ U[:i]
         if piv < diag[x] / 16:
             # one pass multiplies the orthogonality error of U by up to
@@ -604,7 +618,7 @@ def _sample_sequential(phi: np.ndarray, diag: np.ndarray, rng: np.random.Generat
         d -= w * w
         d[x] = 0.0
         chosen[i] = x
-    _check_diagonal(d, 0, step + N)
+    _check_diagonal(d, step + N)
     return chosen
 
 
@@ -626,13 +640,8 @@ def _sample_cd(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray
     head = N - _HANDOVER
     chosen = np.empty(head, dtype=int)
     for i in range(head):
-        p, cdf = _check_diagonal(d, N - i, i)
-        x = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
-        if x == M:  # the product rounded up to the mass
-            x = int(np.flatnonzero(p)[-1])
+        x = _draw_site(d, N - i, i, rng)
         piv = d[x]
-        if not piv > 0:
-            raise KernelConditionError(f"non-positive pivot {piv:.3e} at step {i}")
         # t = c / d(x) for the column c = K_i(., x) of the conditional
         # kernel, and the update that keeps (x - y) K_{i+1}(x, y) =
         # a (G_0(x) G_1(y) - G_1(x) G_0(y)) with K_{i+1} = K_i - c c^T / d(x)
@@ -693,25 +702,26 @@ def sample_dpp(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray
     the Christoffel-Darboux form: the conditional kernels K_i keep
     (x - y) K_i(x, y) = a_N (G_0(x) G_1(y) - G_1(x) G_0(y)) with a (2, size+1)
     generator G, starting from (phi_N, phi_{N-1}), so a step costs O(size):
-    one ``rng.random()`` picks x from max(d, 0), c = K_i(., x) comes from G,
-    then d -= c^2 / d(x) and G -= G(x) c / d(x).  The last 32 points are
-    drawn on an exact rebuild of the conditional kernel, Psi^T Psi, where Psi
-    is the Lanczos table of the weight w(y) prod (y - x)^2 over the chosen x
-    or, where that weight spans beyond the double range (next to a saturated
-    region), the table's functions that vanish at the chosen x (one QR); the
-    hand-over certificate max|d - diag(Psi^T Psi)| <= 1e-8 must hold.
+    x is drawn, c = K_i(., x) comes from G, then d -= c^2 / d(x) and
+    G -= G(x) c / d(x).  The last 32 points are drawn on an exact rebuild of
+    the conditional kernel, Psi^T Psi, where Psi is the Lanczos table of the
+    weight w(y) prod (y - x)^2 over the chosen x or, where that weight spans
+    beyond the double range (next to a saturated region), the table's
+    functions that vanish at the chosen x (one QR); the hand-over
+    certificate max|d - diag(Psi^T Psi)| <= 1e-8 must hold.
 
     Every other kernel, and the rebuilt tail, is drawn one step at a time in
-    coefficient space: step i picks x from the clipped diagonal max(d, 0) as
-    ``rng.choice`` does (one ``rng.random()`` against the normalized CDF),
-    appends the unit vector u_i along phi_x minus its projection on
-    u_0..u_{i-1} to the orthonormal rows U, projecting twice when
-    d(x) < K(x, x) / 16, then sets d -= (u_i phi)^2 and d(x) = 0.
+    coefficient space: step i draws x, appends the unit vector u_i along
+    phi_x minus its projection on u_0..u_{i-1} to the orthonormal rows U,
+    projecting twice when d(x) < K(x, x) / 16, then sets d -= (u_i phi)^2
+    and d(x) = 0.
 
+    Both draw x the same way (_draw_site): one ``rng.random()``, scaled to
+    the mass of the clipped diagonal max(d, 0), is searched in its CDF.
     Raises :class:`KernelConditionError` when, at any step or at the end,
     the diagonal drops below -1e-8 or its clipped mass differs from N - i by
-    more than 1e-6 (a kernel that is not a rank-N projection), on a
-    non-positive pivot, or on a missed hand-over certificate.
+    more than 1e-6 (a kernel that is not a rank-N projection), or on a
+    missed hand-over certificate.
     """
     if kernel.rank > _HANDOVER and kernel._cd_form is not None:
         chosen = _sample_cd(kernel, rng)
@@ -729,18 +739,13 @@ def sample_counts(kernel: ProjectionKernel, interval, size: int,
     a sum of independent Bernoulli variables whose success probabilities are
     the eigenvalues of the kernel restricted to the interval.
     """
-    I = np.asarray(interval, dtype=int)
-    lam = np.linalg.eigvalsh(kernel.block(I))
-    lam = np.clip(lam, 0.0, 1.0)
+    lam = np.clip(np.linalg.eigvalsh(kernel.block(interval)), 0.0, 1.0)
     return (rng.random((size, lam.size)) < lam).sum(axis=1)
 
 
 def number_variance(kernel: ProjectionKernel, interval) -> float:
     """var nu(I) = sum_{j in I} K(j,j) - sum_{i,j in I} K(i,j)^2."""
-    I = np.asarray(interval, dtype=int)
-    if I.size == 0:
-        return 0.0
-    B = kernel.block(I)
+    B = kernel.block(interval)
     v = float(np.trace(B) - (B * B).sum())
     if v < -1e-8:
         raise RuntimeError(f"negative variance {v}")
@@ -850,42 +855,22 @@ def discrete_sine_kernel(u) -> float:
     return math.sin(math.pi * u / 2.0) / (math.pi * u)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
 def hahn_edge(t: float, alpha0: float) -> float:
-    """Right endpoint of the support of the constrained equilibrium measure:
-    (1/t) sup_{0<s<t} g(s), with g capped at 1 by the saturation constraint."""
+    """Right endpoint of the support of the constrained equilibrium measure,
+    (1/t) sup_{0<s<=t} g(s) with
+    g(s) = 1/2 + sqrt(s (1-s) (s + 2 alpha0) (s + 2 alpha0 + 1)) / (2 (s + alpha0)).
+
+    With u = s + alpha0, g(s) = 1/2 + sqrt(1 - (u - alpha0 (alpha0+1) / u)^2) / 2,
+    which rises to exactly 1 (saturation) at s* = sqrt(alpha0 (alpha0+1)) - alpha0
+    and falls after it, so the edge is g(t) / t for t < s* and 1 / t from s* on."""
     if not 0 < t < 1:
         raise ValueError("t must lie in (0,1)")
     if alpha0 < 0:
         raise ValueError("alpha0 must be nonnegative")
-
-    def g(s: float) -> float:
-        val = 0.5 + math.sqrt(
-            max(s * (1 - s) * (s + 2 * alpha0) * (s + 2 * alpha0 + 1), 0.0)
-        ) / (2 * (s + alpha0))
-        return min(val, 1.0)
-
-    _, sup = _golden_max(g, 1e-12, t)
-    sup = max(sup, g(t))
-    return sup / t
+    if t >= math.sqrt(alpha0 * (alpha0 + 1)) - alpha0:
+        return 1.0 / t
+    g = 0.5 + math.sqrt(t * (1 - t) * (t + 2 * alpha0) * (t + 2 * alpha0 + 1)) / (2 * (t + alpha0))
+    return g / t
 
 
 def hahn_edge_hexagon(lam: float, mu: float) -> float:

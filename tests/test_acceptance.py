@@ -37,12 +37,14 @@ from tilings.hexagon import (
     arctic_boundary,
     column_bounds,
     column_law,
+    ensemble_law_exact,
     enumerate_walks,
     lgv_count,
     macmahon,
     plane_partition_height,
     sample_hexagon,
 )
+from tilings.hexagon import _column_weight
 from tilings.schur import cascade_grow, cascade_invert, schur_measure_prob, sample_schur_matrix
 from tilings.shuffling import AztecMeasure, enumerate_tilings, sample_aztec, vertical_count_law
 
@@ -257,8 +259,9 @@ def test_09_column_laws_exact():
         spec = HexagonSpec(n, n, n)
         for m in range(2 * n + 1):
             for kind in ("holes", "particles"):
-                lgv = column_law(spec, m, kind=kind, method="lgv")
-                hahn = column_law(spec, m, kind=kind, method="hahn")
+                lgv = column_law(spec, m, kind=kind)
+                n_pts = column_bounds(spec, m)[3] if kind == "holes" else n
+                hahn = ensemble_law_exact(_column_weight(spec, m, kind), n_pts)
                 assert sum(lgv.values()) == 1
                 keys = set(lgv) | set(hahn)
                 for key in keys:

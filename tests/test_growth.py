@@ -13,8 +13,10 @@ from scipy.stats import chi2 as chi2_dist
 from tilings import ope
 from tilings.aztec import extract_dr_paths, zigzag_config
 from tilings.growth import (
+    _TAIL_TOL,
+    _bessel_cut,
+    _bessel_gram,
     _bessel_tail,
-    _check_bessel_tail,
     _shapes,
     aztec_partition,
     bessel_kernel,
@@ -338,9 +340,35 @@ def test_bessel_tail_bound_at_largest_alpha():
     # at n = 2 sqrt(alpha) the law is near Tracy-Widom F_2(0) = 0.9694
     assert abs(lis_cdf(alpha, 200) - 0.9694) < 0.01
     assert 0 < bessel_kernel(alpha, 200, 200) < 1
-    # a cut at 2 sqrt(alpha) would drop far too much, and is refused
-    with pytest.raises(ValueError, match="Bessel tail"):
-        _check_bessel_tail(alpha, 200)
+    # a cut at 2 sqrt(alpha) would drop far too much; the bound moves it out
+    assert _bessel_tail(alpha, 200) > _TAIL_TOL
+    assert _bessel_cut(alpha, 200) == 286
+
+
+@pytest.mark.parametrize("alpha", [0.5, 4.0, 100.0, 1e4])
+def test_lis_cdf_at_zero_is_the_empty_permutation(alpha):
+    # LIS <= 0 only for the empty permutation: P[Poisson(alpha) = 0]
+    assert abs(lis_cdf(alpha, 0) - math.exp(-alpha)) <= 1e-15
+
+
+def test_bessel_cut_is_the_first_order_within_the_bound():
+    for alpha in (0.5, 1.0, 4.0, 16.0, 100.0, 1e3, 1e4):
+        for lo in (0, 1, 6, 20, 60, 200, 250):
+            K = _bessel_cut(alpha, lo)
+            assert K >= lo and _bessel_tail(alpha, K) <= _TAIL_TOL
+            assert K == lo or _bessel_tail(alpha, K - 1) > _TAIL_TOL
+
+
+@pytest.mark.parametrize("alpha, lo, size", [(4.0, 0, 12), (4.0, 3, 20), (1e4, 0, 40),
+                                             (1e4, 180, 60), (1e4, 250, 40)])
+def test_bessel_gram_matches_a_wide_series(alpha, lo, size):
+    # the oracle sums 400 orders past the largest row, far beyond the cut
+    J = jv(np.arange(lo + size + 400), 2 * math.sqrt(alpha))
+    B = _bessel_gram(alpha, lo, size)
+    for i in range(size):
+        for j in range(size):
+            series = math.fsum(J[lo + i + k] * J[lo + j + k] for k in range(1, 400))
+            assert abs(B[i, j] - series) <= 1e-15
 
 
 def test_lis_cdf_vs_monte_carlo():

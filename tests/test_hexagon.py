@@ -28,7 +28,7 @@ from tilings.hexagon import (
     sample_hexagon,
     walks_to_hole_columns,
 )
-from tilings.hexagon import _stack, _sweep, _transitions, _unstack
+from tilings.hexagon import _column_weight, _stack, _sweep, _transitions, _unstack
 
 
 def macmahon_closed_form(a: int, b: int, c: int) -> int:
@@ -216,8 +216,9 @@ def test_column_law_three_routes_agree_exactly(abc):
     spec = HexagonSpec(a, b, c)
     for m in range(a + b + 1):
         for kind in ("holes", "particles"):
-            lgv = column_law(spec, m, kind=kind, method="lgv")
-            hahn = column_law(spec, m, kind=kind, method="hahn")
+            lgv = column_law(spec, m, kind=kind)
+            n_pts = column_bounds(spec, m)[3] if kind == "holes" else c
+            hahn = hexagon.ensemble_law_exact(_column_weight(spec, m, kind), n_pts)
             assert sum(lgv.values()) == 1
             for key in set(lgv) | set(hahn):
                 assert lgv.get(key, Fraction(0)) == hahn.get(key, Fraction(0))

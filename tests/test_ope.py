@@ -384,6 +384,19 @@ def test_sites_outside_the_window_are_rejected():
     assert number_variance(K, [10, 0]) > 0
 
 
+def test_non_integer_sites_are_rejected():
+    # a float site must not be truncated to the integer below it
+    K = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(10, 0.5), 3))
+    calls = [lambda: K.row(1.5), lambda: K.block([1.7]), lambda: K.block([1], [2.5]),
+             lambda: correlation(K, [1.2, 2]), lambda: number_variance(K, [2.9, 3.9]),
+             lambda: sample_counts(K, [0.5, 1], 5, np.random.default_rng(0))]
+    for call in calls:
+        with pytest.raises(ValueError, match="sites must be integers"):
+            call()
+    assert np.array_equal(K.block(np.arange(2, 4)), K.block([2, 3]))
+    assert correlation(K, []) == 1.0 and number_variance(K, []) == 0.0
+
+
 def test_count_sampling_matches_kernel_moments():
     rng = np.random.default_rng(17)
     s = build_orthonormal(DiscreteWeight.krawtchouk(60, 0.5), 30)
@@ -574,6 +587,27 @@ def test_hahn_edge_values_and_consistency():
             count += 1
     assert count == 20
     assert worst < 1e-8
+
+
+def hahn_edge_grid_oracle(t, alpha0, points=200_001):
+    """Oracle: (1/t) max of the capped g over a dense grid of (0, t]."""
+    s = np.linspace(t / points, t, points)
+    g = 0.5 + np.sqrt(s * (1 - s) * (s + 2 * alpha0) * (s + 2 * alpha0 + 1)) / (2 * (s + alpha0))
+    return float(np.minimum(g, 1.0).max()) / t
+
+
+def test_hahn_edge_matches_a_dense_grid():
+    for alpha0 in (0.0, 0.05, 0.3, 2.0, 1e4):
+        s_star = math.sqrt(alpha0 * (alpha0 + 1)) - alpha0
+        ts = [0.05, 0.2, 0.45, 0.7, 0.95, s_star]
+        for t in (t for t in ts if 0 < t < 1):
+            if t < s_star:  # g still rising: the edge is g(t) / t, below 1 / t
+                assert hahn_edge(t, alpha0) < 1 / t
+            else:           # saturated: the edge is 1 / t
+                assert hahn_edge(t, alpha0) == 1 / t
+            assert abs(hahn_edge(t, alpha0) / hahn_edge_grid_oracle(t, alpha0) - 1) < 1e-9
+    # both branches are taken across the alpha0 grid above
+    assert hahn_edge(0.05, 0.3) < 1 / 0.05 and hahn_edge(0.45, 0.3) == 1 / 0.45
 
 
 def test_hahn_edge_support_bound():
