@@ -10,7 +10,7 @@ which everything else is built:
 * zig-zag particle/hole configurations read off a tiling at level r,
 * the domino height function and its particle-counting formula,
 * the polar-region decomposition (frozen brick-wall corners vs. the
-  temperate zone).
+  temperate zone), a flood fill on Python-int bitboards.
 
 Squares are addressed by their lower-left corner.  The checkerboard colouring
 is fixed so that the leftmost square of each row in the top half is white,
@@ -505,26 +505,41 @@ def height_from_particles(n: int, r: int, k: int, particles: ParticleConfig) -> 
 _REGIONS = ("north", "south", "west", "east", "temperate")
 
 
+def _unpack(value: int, nbits: int) -> np.ndarray:
+    """Bits 0..nbits-1 of a nonnegative int as a bool array."""
+    raw = np.frombuffer(value.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=nbits, bitorder="little").view(bool)
+
+
+def _pack(bits: np.ndarray) -> int:
+    """The int whose bit b is ``bits[b]``."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def polar_regions(t: Tiling) -> tuple[str, ...]:
     """Label every domino north/south/west/east/temperate, in the order of
     the rows of ``t.anchors``.
 
     The north region is the set of N-dominoes connected to the boundary
-    through chains of edge-adjacent N-dominoes; similarly for S/W/E.  Each
-    kind's squares are split into 4-connected components, and the components
-    with a square next to the outside of A_n make up the region.
+    through chains of edge-adjacent N-dominoes; similarly for S/W/E: a flood
+    fill from the squares next to the outside, all kinds at once, on int
+    bitboards of the grid with a guard column, so a 1-bit shift never wraps.
     """
-    from scipy import ndimage  # here, not at the top: its import takes ~0.3 s
-    n = t.order
     grid = t.validate()
-    x, y, h = t.anchors.T
-    kind = np.append(_kind(x, y, h, n), -1)[grid]  # -1 outside A_n
-    rim = ~ndimage.binary_erosion(grid >= 0)  # squares next to the outside
+    kind = np.append(_kind(*t.anchors.T, t.order), -1)[grid]  # -1 outside A_n
+    flat = np.pad(kind, ((0, 0), (0, 1)), constant_values=-1).ravel()
+    width = kind.shape[1] + 1
+    inside = _pack(flat >= 0)
+    # bit b of a link: squares b and b + s have one kind (outside links only outside)
+    links = [(s, _pack(flat[:-s] == flat[s:])) for s in (1, width)]
+    grown, polar = 0, inside & ~(inside << 1 & inside >> 1 & inside << width & inside >> width)
+    while grown != polar:
+        grown = polar
+        for s, link in links:
+            polar |= (polar & link) << s | (polar >> s) & link
+    is_polar = _unpack(polar, flat.size).reshape(-1, width)[:, :-1]
     region = np.full(len(t.anchors), _REGIONS.index("temperate"))
-    for code in range(len(_KINDS)):
-        comp, _ = ndimage.label(kind == code)
-        polar = np.isin(comp, comp[(kind == code) & rim])
-        region[grid[polar]] = code
+    region[grid[is_polar]] = kind[is_polar]
     return tuple(map(_REGIONS.__getitem__, region.tolist()))
 
 

@@ -133,7 +133,9 @@ class DiscreteWeight:
         if self.family == "krawtchouk":
             p = Fraction(self.params[0]).limit_denominator(10**12)
             return Fraction(math.comb(N, x)) * p**x * (1 - p) ** (N - x)
-        alpha, beta = (int(a) for a in self.params)
+        alpha, beta = map(int, self.params)
+        if (alpha, beta) != tuple(self.params):
+            raise ValueError(f"exact Hahn weights need integral parameters, got {self.params}")
         if self.family == "hahn":
             return Fraction(
                 math.factorial(N + alpha - x) * math.factorial(beta + x),

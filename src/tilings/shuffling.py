@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aztec import _ANCHOR_DTYPE, Tiling, _anchor_array, diamond_squares
+from .aztec import _ANCHOR_DTYPE, Tiling, _anchor_array, _pack, _unpack, diamond_squares
 
 __all__ = [
     "AztecMeasure",
@@ -76,17 +76,6 @@ def _tile(pattern: int, stride: int, count: int) -> int:
         width *= 2
         count >>= 1
     return out
-
-
-def _unpack(value: int, nbits: int) -> np.ndarray:
-    """Bits 0..nbits-1 of a nonnegative int as a bool array."""
-    raw = np.frombuffer(value.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=nbits, bitorder="little").view(bool)
-
-
-def _pack(bits: np.ndarray) -> int:
-    """The int whose bit b is ``bits[b]``."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 # Up to this many bits, a stage's board scatters its coins bit by bit in

@@ -42,8 +42,10 @@ def sampled_16():
 
 
 def exhaustive_and_sampled():
-    """Every tiling of A_1..A_4, then the sampled tiling of A_16."""
-    return [t for n in range(1, 5) for t in all_tilings(n)] + [sampled_16()]
+    """Every tiling of A_1..A_4, then the sampled tiling of A_16 and one of
+    A_48, the benchmark's size, where the polar regions are long."""
+    sampled_48 = sample_aztec(AztecMeasure.from_q(48, 0.5), np.random.default_rng(48))
+    return [t for n in range(1, 5) for t in all_tilings(n)] + [sampled_16(), sampled_48]
 
 
 def zigzag_from_paths(t, r):

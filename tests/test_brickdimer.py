@@ -219,6 +219,22 @@ def test_free_energy_frozen_branch():
     assert abs(free_energy_limit(2.0, 0.5) - 0.5 * math.log(2.0)) < 1e-14
 
 
+# Clausen's Cl_2(pi/3) and Catalan's constant G = Cl_2(pi/2)
+CL2_PI_3 = 1.01494160640965362502120255427
+CATALAN = 0.915965594177219015054603514932
+
+
+@pytest.mark.parametrize("w, exact", [
+    (1.0, CL2_PI_3 / (2 * math.pi)),
+    (1 / math.sqrt(2), -math.log(2) / 8 + CATALAN / (2 * math.pi)),
+    (1 / math.sqrt(3), (math.pi / 6 * math.log(1 / math.sqrt(3)) + CL2_PI_3 / 3) / math.pi),
+])
+def test_free_energy_limit_closed_forms(w, exact):
+    # integral_0^theta log(2r cos s) ds = theta log r + Cl_2(pi - 2 theta) / 2
+    # with theta = arccos(1 / 2r): theta = pi/3, pi/4 and pi/6 here
+    assert abs(free_energy_limit(1.0, w) - exact) <= 1e-15
+
+
 def test_free_energy_limit_matches_finite_size():
     for w in (0.8, 1.0, 1.6):
         f_fin = free_energy(BrickLatticeSpec(M=200, N=400, z=1.0, w=w))

@@ -431,6 +431,14 @@ def test_config_file_is_checked(tmp_path, capsys, config, message):
      "error: invalid-input: argument --seed: invalid int value: 'x'"),
     (["dimer-z", "--M", "1", "--N", "1", "--z", "1", "--w", "1", "--mode", "bogus"],
      "error: bad-mode: mode must be one of ('float', 'exact'), got 'bogus'"),
+    # both dimer-z modes check their input alike
+    *((["dimer-z", *shlex.split(args), "--mode", mode], f"error: invalid-input: {message}")
+      for args, message in [("--M 0 --N 1 --z 1 --w 1", "M, N must be positive"),
+                            ("--M -1 --N 1 --z 1 --w 1", "M, N must be positive"),
+                            ("--M 1 --N 0 --z 1 --w 1", "M, N must be positive"),
+                            ("--M 1 --N 1 --z -1 --w 1", "weights must be positive"),
+                            ("--M 1 --N 1 --z 1 --w 0", "weights must be positive")]
+      for mode in ("float", "exact")),
 ])
 def test_command_line_errors_are_one_line(capsys, argv, line):
     assert run(argv) == 2

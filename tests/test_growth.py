@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -359,11 +360,29 @@ def test_bessel_cut_is_the_first_order_within_the_bound():
             assert K == lo or _bessel_tail(alpha, K - 1) > _TAIL_TOL
 
 
+def bessel_series(alpha, orders):
+    """Oracle: J_k(2 sqrt(alpha)) for k < orders by the power series
+    alpha^(k/2) sum_j (-alpha)^j / (j! (j+k)!) in 120-digit decimal, each
+    sum run until its terms fall below 1e-40; at alpha = 1e4 the largest
+    terms are ~1e85, so the sums keep ~35 digits."""
+    with localcontext(Context(prec=120)):
+        root, J = Decimal(alpha).sqrt(), []
+        for k in range(orders):
+            term = root ** k / math.factorial(k)
+            total, j = term, 0
+            while j <= root or abs(term) > Decimal("1e-40"):
+                j += 1
+                term *= -Decimal(alpha) / (j * (j + k))
+                total += term
+            J.append(float(total))
+    return J
+
+
 @pytest.mark.parametrize("alpha, lo, size", [(4.0, 0, 12), (4.0, 3, 20), (1e4, 0, 40),
                                              (1e4, 180, 60), (1e4, 250, 40)])
 def test_bessel_gram_matches_a_wide_series(alpha, lo, size):
     # the oracle sums 400 orders past the largest row, far beyond the cut
-    J = jv(np.arange(lo + size + 400), 2 * math.sqrt(alpha))
+    J = bessel_series(alpha, lo + size + 400)
     B = _bessel_gram(alpha, lo, size)
     for i in range(size):
         for j in range(size):
