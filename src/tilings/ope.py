@@ -4,10 +4,13 @@ Weights (Krawtchouk, Hahn, associated Hahn) are evaluated in log-space via
 log-gamma so that factorial-heavy parameters never overflow.  Orthonormal
 systems are built from three-term recurrences run directly on the weighted
 functions phi_n(x) = p_n(x) * sqrt(w(x)).  The Krawtchouk table keeps a
-binary exponent per site, so values that pass through the subnormal range are
-still produced correctly; its exponent is checked only when a computed bound
-on the drift since the last check says a value could leave the normal range,
-so most degrees cost only their arithmetic.  The rank-N projection kernel
+binary exponent per site, so intermediates far below the double range are
+still exact; its exponent is checked only when a computed bound on the drift
+since the last check says a value could leave the normal range, so most
+degrees cost only their arithmetic.  An entry whose value is below 2^-511 is
+stored as +0.0, so no product of two entries is subnormal; this moves a Gram
+entry by at most 2^-510 sqrt(K+1) (below 1e-150 for K <= 10^5).  The rank-N
+projection kernel
 
     K(x, y) = sum_{n<N} phi_n(x) phi_n(y)
 
@@ -251,28 +254,48 @@ class OrthonormalSystem:
 _DRIFT = 1022 - 512 - 4
 
 
-def _ldexp_columns(block: np.ndarray, e: np.ndarray) -> None:
-    """In place, ``block = np.ldexp(block, e)`` with ``e`` per column, bit for
-    bit, for finite ``block``.
+# A stored table entry below 2^_FLUSH in magnitude is +0.0.  2^-511 is the
+# smallest power of two whose square, 2^-1022, is still a normal double, so
+# no product of two stored entries is subnormal, and no Gram product
+# (phi phi^T, or a Newton-Schulz step) takes the floating-point unit's slow
+# path for subnormal results.  A Gram entry sum_x phi_i(x) phi_j(x) of unit
+# rows loses only terms with a factor below 2^-511, so by Cauchy-Schwarz it
+# moves by at most 2^-511 (|phi_i|_1 + |phi_j|_1) <= 2^-510 sqrt(K+1), below
+# 1e-150 for K <= 10^5.
+_FLUSH = -511
 
-    When every e >= -1074, as in the p = 1/2 tables up to K = 2000 at least,
-    this is the in-place np.ldexp.  Otherwise (small p, where most sites lie
-    far below the double range) a product by the double 2^e stands in for it.
-    It is rounded once, as ldexp's result is, so it is ldexp's result
-    wherever 2^e is a double (-1074 <= e <= 1023), and where e <= -2099:
-    there |block| < 2^1024 puts the exact result below 2^-1075, which rounds
-    to +-0, and so does the product by 2^e = 0.  Only the columns with e in
-    between, or above 1023, go through np.ldexp, which is an order of
-    magnitude slower per element when its result is subnormal or zero.
+# Elements per pass of _ldexp_columns: 2^15 doubles (256 KiB), with its two
+# scratch arrays about 0.53 MiB, which stays in one core's L2 cache on
+# current x86 server cores (1-2 MiB).
+_CHUNK = 1 << 15
+
+
+def _ldexp_columns(block: np.ndarray, e: np.ndarray) -> None:
+    """In place, ``block = np.ldexp(block, e)`` with ``e`` (int32) per
+    column, every result below 2^_FLUSH = 2^-511 in magnitude stored as
+    +0.0, for finite ``block``.
+
+    The flush comes first, in block units: |block| < 2^(-511 - e) is the
+    same test as |ldexp(block, e)| < 2^-511, and 2^(-511 - e) is a double
+    (inf from e <= -1535 on, which flushes the whole column; clipped to
+    2^-1074 from e >= 563 on, where only zeros flush).  np.ldexp then sees
+    only zeros and entries whose result is normal or overflows, so it never
+    takes its slow path for subnormal results, and each kept entry is
+    ldexp's result bit for bit.  Rows go through in chunks of _CHUNK
+    elements, so each chunk is read from memory once.
     """
-    if e.min() >= -1074:
-        np.ldexp(block, e, out=block)
-        return
-    slow = ((e > -2099) & (e < -1074)) | (e > 1023)
-    cols = np.flatnonzero(slow)
-    fixed = np.ldexp(block[:, cols], e[cols])
-    block *= np.ldexp(1.0, np.where(slow, 0, e))
-    block[:, cols] = fixed
+    with np.errstate(over="ignore"):
+        thr = np.ldexp(1.0, np.clip(_FLUSH - e, -1074, 1024))
+    rows = max(1, _CHUNK // block.shape[1])
+    mag = np.empty((min(rows, len(block)), block.shape[1]))
+    flush = np.empty(mag.shape, dtype=bool)
+    for i in range(0, len(block), rows):
+        chunk = block[i:i + rows]
+        m, f = mag[:len(chunk)], flush[:len(chunk)]
+        np.abs(chunk, out=m)
+        np.less(m, thr, out=f)
+        np.copyto(chunk, 0.0, where=f)
+        np.ldexp(chunk, e, out=chunk)
 
 
 def _phi_table(x: np.ndarray, logw: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -291,7 +314,10 @@ def _phi_table(x: np.ndarray, logw: np.ndarray, a: np.ndarray, b: np.ndarray,
     left [2^-512, 2^512] is rescaled by 2^512 or 2^-512.  Scaling by a power of
     two is exact for normal doubles, so the table is the one a check at every
     degree gives.  Each step writes v straight into its row; a block of rows
-    between checks gets its exponent E in one pass when the block closes.
+    between checks gets its exponent E when the block closes, in the pass of
+    _ldexp_columns that also stores every entry below 2^_FLUSH = 2^-511 as
+    +0.0.
+    Every other entry is the one the per-degree check gives, bit for bit.
     """
     LIM = 512
     lw2 = 0.5 * logw / math.log(2.0)
@@ -309,8 +335,8 @@ def _phi_table(x: np.ndarray, logw: np.ndarray, a: np.ndarray, b: np.ndarray,
     shrink[:1] = 0.0
 
     def close(block):
-        # |v| reaches 2^1018 inside a block, so clipping E anywhere above
-        # -(1074 + 1022) could turn a true value below 2^-1074 into a nonzero one
+        # the clip changes no entry: from E <= -1535 on a column is flushed
+        # whole, and from E >= 2098 on every nonzero entry overflows
         _ldexp_columns(block, np.clip(E, -4000, 4000).astype(np.int32))
 
     start, up, down = 0, 0.0, 0.0
@@ -485,8 +511,9 @@ class ProjectionKernel:
         its own three-term recurrence, to within _RECURRENCE_MAX.  After a
         polish, G and d come from the unpolished table, which satisfies it
         two orders of magnitude more closely, and only the rank-N kernel has
-        them.  log w is
-        -inf where d is 0, where the weight underflowed in the build."""
+        them.  log w is -inf where d is 0, where every phi_n, n < N, is 0:
+        a Krawtchouk table stores values below 2^-511 as 0, and a Lanczos
+        table is 0 where the weight underflowed."""
         s, N = self.system, self.rank
         if N + 1 > s.num_degrees or not _recurrence_residual(s, N) <= _RECURRENCE_MAX:
             return None
@@ -768,6 +795,11 @@ def _max_particle_cdf(table: np.ndarray, rank: int, s: int) -> float:
     build_orthonormal applies; above it :class:`ConstructionError` is
     raised.  The ``rank`` particles sit on distinct sites, so s + 1 < rank
     gives exactly 0.0.
+
+    A Krawtchouk table stores its entries below 2^-511 as zero, so neither
+    Gram product meets a subnormal product.  Against the unflushed table,
+    each Gram entry moves by at most 2^-510 sqrt(size+1) and the ratio by
+    about 2 rank^2 times that.
     """
     size = table.shape[1] - 1
     if s >= size:

@@ -33,6 +33,8 @@ from tilings.growth import (
 from tilings.ope import ConstructionError, DiscreteWeight, build_orthonormal
 from tilings.shuffling import AztecMeasure, enumerate_tilings, sample_aztec
 
+from test_ope import phi_table_oracle
+
 
 def lpp_bruteforce(W: np.ndarray) -> int:
     """Independent oracle: maximize over every up/right path explicitly."""
@@ -160,6 +162,25 @@ def test_lpp_cdf_rejects_the_first_rank_past_the_boundary():
         lpp_cdf_exact(972, 29, 0.4, 1000)
     with pytest.raises(ConstructionError, match="residual 1.159"):
         build_orthonormal(DiscreteWeight.krawtchouk(2000, 0.4), 972)
+
+
+@pytest.mark.parametrize("M, t, flushes", [
+    (256, 1150, True), (256, 1250, True), (256, 1350, True), (128, 600, False),
+])
+def test_lpp_cdf_matches_the_unflushed_table(M, t, flushes):
+    # the stored table has every entry below 2^-511 flushed to +0.0; the
+    # gap ratio formed on the unflushed per-degree oracle table differs by
+    # at most 2 M^2 2^-510 sqrt(K+1), the bound of lpp_cdf_exact.  At
+    # K = 855 the smallest entry is phi_0(0) = 2^-427.5, so nothing flushes
+    K = t + 2 * M - 1
+    logw = DiscreteWeight.krawtchouk(K, 0.5).log_weight()
+    logw -= logw.max() + math.log(np.exp(logw - logw.max()).sum())
+    a, b = ope.krawtchouk_recurrence(K, 0.5, M + 1)
+    raw = phi_table_oracle(np.arange(K + 1.0), logw, a, b, M + 1)
+    assert ((raw != 0) & (np.abs(raw) < 2.0**-511)).any() == flushes
+    expect = ope._max_particle_cdf(raw, M, t + M - 1)
+    assert 1e-4 < expect < 1
+    assert abs(lpp_cdf_exact(M, M, 0.5, t) - expect) <= 2 * M**2 * 2.0**-510 * math.sqrt(K + 1)
 
 
 def test_lpp_cdf_rejects_a_table_with_a_repeated_row(monkeypatch):
@@ -383,7 +404,7 @@ def bessel_series(alpha, orders):
 def test_bessel_gram_matches_a_wide_series(alpha, lo, size):
     # the oracle sums 400 orders past the largest row, far beyond the cut
     J = bessel_series(alpha, lo + size + 400)
-    B = _bessel_gram(alpha, lo, size)
+    B = _bessel_gram(alpha, lo, size, _bessel_cut(alpha, lo + 1))
     for i in range(size):
         for j in range(size):
             series = math.fsum(J[lo + i + k] * J[lo + j + k] for k in range(1, 400))

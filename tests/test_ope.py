@@ -106,6 +106,16 @@ def phi_table_oracle(x, logw, a, b, nrows):
     return out
 
 
+def flush_below_2_511(table):
+    """The stored form of a table: every entry below 2^-511 in magnitude is
+    +0.0, every other entry is unchanged."""
+    return np.where(np.abs(table) < 2.0**-511, 0.0, table)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def hahn_closed_form(N: int, alpha: float, beta: float, nmax: int):
     """Oracle: standard three-term recurrence for the Hahn weight
     (N + alpha - x)! (beta + x)! / (x! (N - x)!)."""
@@ -257,7 +267,9 @@ def test_orthonormality_small_and_large():
 ])
 def test_phi_table_matches_per_degree_oracle(K, p, nrows):
     # the drift-budget check must give the table of a check at every degree,
-    # bit for bit, including where values pass through the subnormal range
+    # bit for bit, including where values pass through the subnormal range;
+    # the table stores entries below 2^-511 as +0.0, so the oracle is
+    # compared after the same flush
     logw = DiscreteWeight.krawtchouk(K, p).log_weight()
     logw -= logw.max() + math.log(np.exp(logw - logw.max()).sum())
     a, b = krawtchouk_recurrence(K, p, nrows)
@@ -265,24 +277,46 @@ def test_phi_table_matches_per_degree_oracle(K, p, nrows):
     table = _phi_table(x, logw, a, b, nrows)
     assert table.shape == (nrows, K + 1)
     assert np.isfinite(table).all()
-    assert np.array_equal(table, phi_table_oracle(x, logw, a, b, nrows))
+    assert same_bits(table, flush_below_2_511(phi_table_oracle(x, logw, a, b, nrows)))
+
+
+@pytest.mark.parametrize("K, p, N", [
+    (1761, 0.5, 256), (5000, 0.5, 300), (5000, 0.001, 40), (5000, 0.01, 200),
+    (10000, 0.1, 300),
+])
+def test_phi_table_has_no_entry_below_the_flush(K, p, N):
+    # no stored entry is nonzero and below 2^-511, nor -0.0, so no product
+    # of two entries is subnormal; each table would have such entries
+    # without the flush
+    table = build_orthonormal(DiscreteWeight.krawtchouk(K, p), N, validate=False).table
+    mag = np.abs(table)
+    assert not ((mag > 0) & (mag < 2.0**-511)).any()
+    assert not np.signbit(table[table == 0]).any()
+    logw = DiscreteWeight.krawtchouk(K, p).log_weight()
+    logw -= logw.max() + math.log(np.exp(logw - logw.max()).sum())
+    a, b = krawtchouk_recurrence(K, p, N + 1)
+    raw = np.abs(phi_table_oracle(np.arange(K + 1.0), logw, a, b, N + 1))
+    assert ((raw > 0) & (raw < 2.0**-511)).any()
 
 
 @pytest.mark.parametrize("lowest", [-2200, -1074])
 def test_ldexp_columns_matches_np_ldexp(lowest):
-    # every exponent the split treats differently, against values of both
-    # signs, signed zeros, subnormals and magnitudes up to 2^1018; from
-    # -1074 up, the in-place np.ldexp path
+    # np.ldexp and then the flush below 2^-511, for exponents from lowest to
+    # 1100, against values of both signs, signed zeros, subnormals,
+    # magnitudes up to 2^1018, and powers of two with their lower
+    # neighbours, whose results land on 2^-511 and just below it
     rng = np.random.default_rng(0)
     e = np.arange(lowest, 1101, dtype=np.int32)
     mags = np.ldexp(rng.uniform(1.0, 2.0, 200), rng.integers(-1074, 1019, 200))
-    mags = np.concatenate([mags, 2.0 ** np.arange(-1074, 1019, 41), [2.0**1018, 5e-324]])
+    powers = 2.0 ** np.arange(-1074, 1019, 41)
+    mags = np.concatenate([mags, powers, np.nextafter(powers, 0), [2.0**1018, 5e-324]])
     vals = np.concatenate([[0.0, -0.0], mags, -mags])
     block = np.repeat(vals[:, None], e.size, axis=1)
     with np.errstate(over="ignore"):
-        expect = np.ldexp(block, e)
+        expect = flush_below_2_511(np.ldexp(block, e))
         _ldexp_columns(block, e)
-    assert np.array_equal(block.view(np.uint64), expect.view(np.uint64))
+    assert same_bits(block, expect)
+    assert (block == 2.0**-511).any() and (expect == 0).sum() > (vals == 0).sum() * e.size
 
 
 def test_full_rank_kernel_is_identity():
