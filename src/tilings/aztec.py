@@ -20,8 +20,10 @@ A :class:`Tiling` holds its dominoes as the array ``anchors``, one row
 (x, y, horizontal) per domino in sorted order.  It is the one domino format:
 the readers, the DR paths, the JSON form, equality and hashing work on it,
 and per-domino results (``polar_regions``) come in the order of its rows.
-:class:`Domino` objects appear only at the API edge: the ``Tiling``
+:class:`Domino` values appear only at the API edge: the ``Tiling``
 constructor, ``Tiling.dominoes`` (built on first use) and ``classify_domino``.
+A Domino is a named tuple (x, y, horizontal), so it orders, hashes and
+compares equal as that plain tuple does.
 
 :meth:`Tiling.validate` returns the tiling's square grid, which the readers
 (zig-zag configurations, heights, polar regions) work on with array
@@ -44,7 +46,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -108,9 +111,11 @@ def diamond_squares(n: int) -> Iterator[tuple[int, int]]:
                 yield (x, y)
 
 
-@dataclass(frozen=True, order=True)
-class Domino:
-    """A domino anchored at its lower-left corner."""
+class Domino(NamedTuple):
+    """A domino anchored at its lower-left corner: the immutable tuple
+    (x, y, horizontal).  Dominoes order and hash as those tuples, and a
+    Domino equals the plain tuple of its fields:
+    ``Domino(0, 1, True) == (0, 1, True)``."""
 
     x: int
     y: int
@@ -146,14 +151,15 @@ def _anchor_array(rows: Iterable[tuple[int, int, bool]] | np.ndarray) -> np.ndar
 class Tiling:
     """A set of dominoes on A_n, stored as the array ``anchors``: one row
     (x, y, horizontal) per domino, in the order of the sorted ``dominoes``.
-    ``dominoes``, the same set as a tuple of :class:`Domino`, is derived on
-    first use and cached.  Two tilings are equal when their orders and
-    anchor arrays are."""
+    ``dominoes``, the same set as a sorted tuple of :class:`Domino`, is
+    derived on first use and cached.  The constructor takes any iterable of
+    Dominoes or of plain (x, y, horizontal) tuples.  Two tilings are equal
+    when their orders and anchor arrays are."""
 
     __slots__ = ("_order", "_anchors", "_dominoes", "_grid")
 
     def __init__(self, order: int, dominoes: Iterable[Domino]):
-        self._set(order, _anchor_array((d.x, d.y, d.horizontal) for d in dominoes))
+        self._set(order, _anchor_array(dominoes))
 
     @classmethod
     def _from_anchors(cls, order: int, anchors: np.ndarray) -> "Tiling":
@@ -177,7 +183,9 @@ class Tiling:
     @property
     def dominoes(self) -> tuple[Domino, ...]:
         if self._dominoes is None:
-            self._dominoes = tuple(Domino(x, y, h == 1) for x, y, h in self._anchors.tolist())
+            x, y, h = self._anchors.T
+            rows = zip(x.tolist(), y.tolist(), (h == 1).tolist())
+            self._dominoes = tuple(map(Domino._make, rows))
         return self._dominoes
 
     def __eq__(self, other) -> bool:
@@ -551,11 +559,15 @@ def polar_regions(t: Tiling) -> tuple[str, ...]:
 _ORIENTATIONS = ("vertical", "horizontal")
 
 
+# one JSON record per orientation, awaiting its anchor's x and y
+_RECORDS = tuple('{"orientation": "%s", "x": %%d, "y": %%d}' % o for o in _ORIENTATIONS)
+
+
 def tiling_to_json(t: Tiling) -> str:
     """JSON with order and anchored dominoes; kinds are derived, not stored.
     The text is that of ``json.dumps`` with sorted keys."""
-    rows = ", ".join(f'{{"orientation": "{_ORIENTATIONS[h]}", "x": {x}, "y": {y}}}'
-                     for x, y, h in t.anchors.tolist())
+    records = ", ".join(map(_RECORDS.__getitem__, t.anchors[:, 2].tolist()))
+    rows = records % tuple(t.anchors[:, :2].ravel().tolist())
     return f'{{"dominoes": [{rows}], "order": {t.order}}}'
 
 
@@ -564,7 +576,7 @@ def tiling_from_json(s: str) -> Tiling:
     or negative order, a non-integer anchor, an unknown orientation or a non-tiling."""
     obj = json.loads(s)
     n, dominoes = obj["order"], obj["dominoes"]
-    x, y, orientation = (tuple(d[k] for d in dominoes) for k in ("x", "y", "orientation"))
+    x, y, orientation = (tuple(map(itemgetter(k), dominoes)) for k in ("x", "y", "orientation"))
     if type(n) is not int or n < 0:
         raise TilingError(f"order {n!r} is not a nonnegative integer")
     if {type(v) for v in x + y} - {int} or max(map(abs, x + y), default=0) > n + 1:

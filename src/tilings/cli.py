@@ -211,8 +211,13 @@ def _cmd_growth_cdf(cfg: ExperimentConfig) -> int:
     if mc < 1:
         raise ValueError(f"mc-samples must be positive, got {mc}")
     rng = replica_rng(cfg.seed, 0)
-    W = growth.sample_geometric(q, (mc, M, N), rng)
-    g = _last_passage(W)
+    # batches of samples bound the memory; consecutive draws from rng
+    # concatenate, so the batches draw the same weights as one call would
+    batch = max(1, _TABLE_ENTRIES // ((M + 1) * (N + 1)))
+    g = np.empty(mc, dtype=np.int64)
+    for r in range(0, mc, batch):
+        W = growth.sample_geometric(q, (min(batch, mc - r), M, N), rng)
+        g[r:r + len(W)] = _last_passage(W)
     rows = []
     for t in range(tmax + 1):
         rows.append([t, growth.lpp_cdf_exact(M, N, q, t), float((g <= t).mean())])

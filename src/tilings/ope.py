@@ -8,8 +8,9 @@ binary exponent per site, so intermediates far below the double range are
 still exact; its exponent is checked only when a computed bound on the drift
 since the last check says a value could leave the normal range, so most
 degrees cost only their arithmetic.  An entry whose value is below 2^-511 is
-stored as +0.0, so no product of two entries is subnormal; this moves a Gram
-entry by at most 2^-510 sqrt(K+1) (below 1e-150 for K <= 10^5).  The rank-N
+stored as +0.0, in this table and in any table after its Newton-Schulz
+polish, so no product of two entries is subnormal; this moves a Gram entry by
+at most 2^-510 sqrt(K+1) (below 1e-150 for K <= 10^5).  The rank-N
 projection kernel
 
     K(x, y) = sum_{n<N} phi_n(x) phi_n(y)
@@ -270,10 +271,11 @@ _FLUSH = -511
 _CHUNK = 1 << 15
 
 
-def _ldexp_columns(block: np.ndarray, e: np.ndarray) -> None:
+def _ldexp_columns(block: np.ndarray, e: np.ndarray | None) -> None:
     """In place, ``block = np.ldexp(block, e)`` with ``e`` (int32) per
     column, every result below 2^_FLUSH = 2^-511 in magnitude stored as
-    +0.0, for finite ``block``.
+    +0.0, for finite ``block``.  With ``e`` None the block is only flushed
+    (a pass that ldexp by 0 would add 60% to).
 
     The flush comes first, in block units: |block| < 2^(-511 - e) is the
     same test as |ldexp(block, e)| < 2^-511, and 2^(-511 - e) is a double
@@ -284,8 +286,10 @@ def _ldexp_columns(block: np.ndarray, e: np.ndarray) -> None:
     ldexp's result bit for bit.  Rows go through in chunks of _CHUNK
     elements, so each chunk is read from memory once.
     """
-    with np.errstate(over="ignore"):
-        thr = np.ldexp(1.0, np.clip(_FLUSH - e, -1074, 1024))
+    thr = 2.0**_FLUSH
+    if e is not None:
+        with np.errstate(over="ignore"):
+            thr = np.ldexp(1.0, np.clip(_FLUSH - e, -1074, 1024))
     rows = max(1, _CHUNK // block.shape[1])
     mag = np.empty((min(rows, len(block)), block.shape[1]))
     flush = np.empty(mag.shape, dtype=bool)
@@ -295,7 +299,8 @@ def _ldexp_columns(block: np.ndarray, e: np.ndarray) -> None:
         np.abs(chunk, out=m)
         np.less(m, thr, out=f)
         np.copyto(chunk, 0.0, where=f)
-        np.ldexp(chunk, e, out=chunk)
+        if e is not None:
+            np.ldexp(chunk, e, out=chunk)
 
 
 def _phi_table(x: np.ndarray, logw: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -394,7 +399,8 @@ def build_orthonormal(weight: DiscreteWeight, N: int,
     With ``validate``, raises :class:`ConstructionError` naming the failing
     degree pair when the orthonormality residual of the table exceeds
     _RESIDUAL_MAX = 1e-9, or, after the Newton-Schulz polish that residuals
-    above 1e-13 get, 1e-10.
+    above 1e-13 get, 1e-10.  A polished table, like a raw Krawtchouk one,
+    stores its entries below 2^-511 as +0.0.
     """
     if not 1 <= N <= weight.size + 1:
         raise ValueError(f"rank N={N} out of range 1..{weight.size + 1}")
@@ -424,8 +430,11 @@ def build_orthonormal(weight: DiscreteWeight, N: int,
             # one Newton-Schulz step towards the symmetric orthonormal basis
             # of the same span: with G = I + E the new Gram matrix is
             # I - 3E^2/4 + O(E^3), so kernel projection algebra holds to
-            # machine precision (perturbs each function by ~residual)
+            # machine precision (perturbs each function by ~residual); the
+            # product can fall below 2^-511 again, so it is flushed as the
+            # raw table is, within the same Gram bound
             table = (1.5 * np.eye(nrows) - 0.5 * G) @ table
+            _ldexp_columns(table, None)
             residual = _check_gram(table @ table.T, 1e-10)
     return OrthonormalSystem(
         weight=weight, rank=N, num_degrees=nrows, a=a, b=b, table=table,

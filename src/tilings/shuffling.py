@@ -24,6 +24,7 @@ brickdimer.py.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,8 +85,34 @@ def _tile(pattern: int, stride: int, count: int) -> int:
 # stage whatever the board, so the loop wins on the small boards of A_4-sized
 # draws: +10% items/s on the perfbench `aztec` workload, against a cut-off of
 # 0, in 10 of 10 alternating runs.  Cut-offs of 512, 1024 and 2048 drew A_8
-# to A_48 equally fast within noise; 4096 was slower at A_24 and A_32.
+# to A_48 equally fast within noise; 4096 was slower at A_24 and A_32.  Boards
+# this small also keep their masks cached (see _small_masks).
 _LOOP_BITS = 1024
+
+
+def _masks(n: int, R: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The masks of sample_aztec's board for order n and R replicas:
+    ``even``, the squares with x + y + m - 1 even, and ``scan``, the
+    (shift, mask) steps of the running parity along each row."""
+    W = 2 * n  # row length in squares
+    ROW = W * R  # row length in bits
+    square = (1 << R) - 1  # one square, every replica
+    row = (1 << ROW) - 1
+    # x + y + m - 1 even: on row 0, the squares with x + n = n + 1 mod 2
+    even = _tile(square << (n + 1) % 2 * R, 2 * R, n)
+    even = _tile(even | (even ^ row) << ROW, 2 * ROW, n)
+    # Hillis-Steele scan steps: step s xors in the value s squares to the
+    # left, which lies in the same row where x + n >= s
+    scan = tuple((s * R, _tile(row >> s * R << s * R, ROW, W))
+                 for s in (1 << t for t in range(max(W - 1, 0).bit_length())))
+    return even, scan
+
+
+# The masks of boards of at most _LOOP_BITS bits, by (n, R).  Only small
+# boards are kept: building the masks took 4 of an A_4 draw's 33 us, but 19
+# of an A_48 draw's 1100 us, and the masks of large boards take megabytes
+# (92 MB for R = 10^4 at n = 48, 6 MB for one draw at n = 1000).
+_small_masks = functools.cache(_masks)
 
 
 def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
@@ -104,7 +131,10 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
     x + y + m - 1 is even, and S or W when it is odd, and that parity does
     not depend on m: one mask serves every stage.  Kinds are recomputed from
     the colouring of the current order at every stage, so stage k is the
-    order-k sample drawn from the same stream.
+    order-k sample drawn from the same stream.  The masks (that parity mask
+    and the row-scan masks of the filling phase) depend only on n and R;
+    they are cached for boards of at most _LOOP_BITS = 1024 bits (4 n^2 R),
+    such as A_4 single draws, and built per call above that.
 
     A single draw (``size=None``) takes one ``rng.random()`` value per
     empty block, blocks in row-major order.  A batch takes each stage's
@@ -117,14 +147,8 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
     W = 2 * n  # row length in squares
     ROW = W * R  # row length in bits
     square = (1 << R) - 1  # one square, every replica
-    row = (1 << ROW) - 1
-    # x + y + m - 1 even: on row 0, the squares with x + n = n + 1 mod 2
-    even = _tile(square << (n + 1) % 2 * R, 2 * R, n)
-    even = _tile(even | (even ^ row) << ROW, 2 * ROW, n)
-    # Hillis-Steele scan steps: step s xors in the value s squares to the
-    # left, which lies in the same row where x + n >= s
-    scan = [(s * R, _tile(row >> s * R << s * R, ROW, W))
-            for s in (1 << t for t in range(max(W - 1, 0).bit_length()))]
+    AREA = W * ROW  # bits of the board of A_n
+    even, scan = (_small_masks if AREA <= _LOOP_BITS else _masks)(n, R)
     H = V = diamond = 0  # diamond: the squares of A_m
 
     for m in range(1, n + 1):
@@ -187,9 +211,10 @@ def sample_aztec(measure: AztecMeasure, rng: np.random.Generator,
         V |= vertical | (vertical << R)
         H |= corner | (corner << ROW)
 
-    # anchors sorted by x, then y, as a sorted Domino tuple is
-    horizontal = _unpack(H, W * ROW).reshape(W, W, R)
-    r, x, y = np.nonzero(_unpack(H | V, W * ROW).reshape(W, W, R).transpose(2, 1, 0))
+    # anchors sorted by x, then y, as a sorted Domino tuple is; one unpack
+    # reads the anchored squares (low half) and the horizontal ones (high)
+    anchored, horizontal = _unpack(H << AREA | H | V, 2 * AREA).reshape(2, W, W, R)
+    r, x, y = np.nonzero(anchored.transpose(2, 1, 0))
     anchors = np.empty((R, n * (n + 1), 3), dtype=_ANCHOR_DTYPE)
     columns = anchors.reshape(-1, 3).T
     np.subtract(x, n, out=columns[0], casting="unsafe")

@@ -442,6 +442,46 @@ def test_json_round_trip():
     assert digest == "1165f4ec9c4050726dbe2e6cc8e9e12df70c2a9a55d5807f65855e422d62cb3a"
 
 
+def test_domino_is_the_named_tuple_of_its_fields():
+    d = Domino(-1, 0, True)
+    assert Domino._fields == ("x", "y", "horizontal")
+    assert repr(d) == "Domino(x=-1, y=0, horizontal=True)"
+    assert d.squares() == ((-1, 0), (0, 0))
+    assert Domino(-1, 0, False).squares() == ((-1, 0), (-1, 1))
+    with pytest.raises(AttributeError):
+        d.x = 0
+    # ordered and hashed as the tuple (x, y, horizontal), vertical first
+    ordered = [Domino(-2, 1, True), Domino(-1, -1, False), Domino(-1, 0, False), d,
+               Domino(0, -2, True)]
+    assert sorted(reversed(ordered)) == ordered
+    assert hash(d) == hash((-1, 0, True)) and len({d, Domino(-1, 0, True)}) == 1
+    # the one change from a dataclass: a Domino equals the plain tuple
+    assert d == (-1, 0, True) and (-1, 0, True) == d and d != (-1, 0, False)
+    assert Tiling(1, [(-1, -1, False), (0, -1, False)]) == vertical_a1()
+
+
+def test_dominoes_are_the_sorted_domino_tuple():
+    # what Tiling.dominoes gave when Domino was a dataclass: a Domino of two
+    # ints and a bool per anchor row, sorted
+    batch = sample_aztec(AztecMeasure.from_q(6, 0.3), np.random.default_rng(6), size=3)
+    for t in [Tiling(0, ()), *all_tilings(3), sampled_16(), *batch]:
+        expect = tuple(sorted(Domino(int(x), int(y), bool(h)) for x, y, h in t.anchors))
+        assert t.dominoes == expect
+        assert all(type(d) is Domino and type(d.x) is type(d.y) is int
+                   and type(d.horizontal) is bool for d in t.dominoes)
+        assert Tiling(t.order, t.dominoes) == t
+
+
+def test_json_is_the_text_of_json_dumps():
+    batch = sample_aztec(AztecMeasure.from_q(7, 0.5), np.random.default_rng(7), size=4)
+    for t in [Tiling(0, ()), *all_tilings(2), sampled_16(), *batch]:
+        records = [{"x": x, "y": y, "orientation": "horizontal" if h else "vertical"}
+                   for x, y, h in t.dominoes]
+        expect = json.dumps({"order": t.order, "dominoes": records}, sort_keys=True)
+        assert tiling_to_json(t) == expect
+        assert tiling_from_json(expect) == t
+
+
 def test_json_has_no_kind_field():
     t = all_tilings(1)[0]
     assert '"kind"' not in tiling_to_json(t)

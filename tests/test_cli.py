@@ -6,11 +6,12 @@ import math
 import re
 import shlex
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from tilings import hexagon, ope, replica_rng
+from tilings import cli, hexagon, ope, replica_rng
 from tilings.cli import _build_parser, _config_from_args, run
 
 
@@ -88,6 +89,42 @@ def test_growth_cdf_columns(tmp_path):
         closed = 1 - 0.5 ** (int(t) + 1)
         assert abs(float(exact) - closed) < 1e-12
         assert abs(float(mc) - closed) < 0.05
+
+
+def test_growth_cdf_batches_give_the_one_batch_bytes(tmp_path, monkeypatch):
+    # a bound of 100 table entries sweeps 5 samples of the 4 x 3 lattice (a
+    # 5 x 4 bordered table each) per batch: 6 batches of 5 and a last one of
+    # 4, against one batch of 34
+    args = ["growth-cdf", "--M", "4", "--N", "3", "--q", "0.5", "--tmax", "20",
+            "--mc-samples", "34", "--seed", "5", "--out"]
+    assert run(args + [str(tmp_path / "one.csv")]) == 0
+    sizes = []
+    last_passage = cli._last_passage
+    monkeypatch.setattr(cli, "_last_passage", lambda W: sizes.append(len(W)) or last_passage(W))
+    monkeypatch.setattr(cli, "_TABLE_ENTRIES", 100)
+    assert run(args + [str(tmp_path / "many.csv")]) == 0
+    assert sizes == [5] * 6 + [4]
+    one, many = ((tmp_path / f).read_bytes() for f in ("one.csv", "many.csv"))
+    assert many == one
+    assert len({line.split(b",")[2] for line in one.splitlines()[2:]}) > 3
+
+
+def test_growth_cdf_holds_one_batch_of_tables_at_a_time(tmp_path, monkeypatch):
+    # 2000 samples of a 16 x 16 lattice: their bordered tables take 4.6 MB
+    # together, a batch of 10 of them 23 KB.  No batch's table may outlive
+    # its sweep, as a view of it kept for the result would.  The traced run
+    # is the second, so imports and caches filled on first use do not count.
+    monkeypatch.setattr(cli, "_TABLE_ENTRIES", 17 * 17 * 10)
+    args = ["growth-cdf", "--M", "16", "--N", "16", "--q", "0.5", "--tmax", "2",
+            "--mc-samples", "2000", "--out", str(tmp_path / "cdf.csv")]
+    assert run(args) == 0
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_variance_scan(tmp_path):

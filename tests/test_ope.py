@@ -299,6 +299,24 @@ def test_phi_table_has_no_entry_below_the_flush(K, p, N):
     assert ((raw > 0) & (raw < 2.0**-511)).any()
 
 
+@pytest.mark.parametrize("K, p, N", [(5000, 0.5, 300), (10000, 0.1, 300)])
+def test_polished_table_has_no_entry_below_the_flush(K, p, N):
+    # the validated builds of two cases above are polished, and the polish
+    # is flushed as the raw table is; the unflushed Newton-Schulz product
+    # would have such entries (1.5% and 0.5% of them)
+    weight = DiscreteWeight.krawtchouk(K, p)
+    s = build_orthonormal(weight, N)
+    assert s.unpolished is not None
+    mag = np.abs(s.table)
+    assert not ((mag > 0) & (mag < 2.0**-511)).any()
+    assert not np.signbit(s.table[s.table == 0]).any()
+    raw = build_orthonormal(weight, N, validate=False).table
+    polish = (1.5 * np.eye(N + 1) - 0.5 * (raw @ raw.T)) @ raw
+    assert same_bits(s.table, flush_below_2_511(polish))
+    mag = np.abs(polish)
+    assert ((mag > 0) & (mag < 2.0**-511)).any()
+
+
 @pytest.mark.parametrize("lowest", [-2200, -1074])
 def test_ldexp_columns_matches_np_ldexp(lowest):
     # np.ldexp and then the flush below 2^-511, for exponents from lowest to

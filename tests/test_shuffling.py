@@ -229,12 +229,31 @@ def test_batches_match_lockstep_dict_oracle():
 
 def test_block_check_stops_a_corrupt_board(monkeypatch):
     # masks built one copy of their pattern short misplace the slides and the
-    # block corners; the stage check must stop the draw
+    # block corners; the stage check must stop the draw.  Both boards are
+    # small enough for the mask cache, which is cleared first, so the draws
+    # build their masks with the broken _tile, and last, so no later draw
+    # reads those masks.
     tile = shuffling._tile
+    shuffling._small_masks.cache_clear()
     monkeypatch.setattr(shuffling, "_tile", lambda p, s, c: tile(p, s, max(c - 1, 0)))
-    for n in (2, 6):
-        with pytest.raises(AssertionError, match="not 2x2 blocks"):
-            sample_aztec(AztecMeasure.from_q(n, 0.5), np.random.default_rng(0))
+    try:
+        for n in (2, 6):
+            with pytest.raises(AssertionError, match="not 2x2 blocks"):
+                sample_aztec(AztecMeasure.from_q(n, 0.5), np.random.default_rng(0))
+        assert shuffling._small_masks.cache_info().currsize == 2
+    finally:
+        shuffling._small_masks.cache_clear()
+
+
+def test_only_small_boards_keep_their_masks():
+    # the board of A_n with R replicas has 4 n^2 R bits; masks are cached up
+    # to _LOOP_BITS = 1024 of them
+    shuffling._small_masks.cache_clear()
+    rng = np.random.default_rng(0)
+    for n, size in ((16, None), (17, None), (4, 16), (4, 17), (16, None), (4, 16)):
+        sample_aztec(AztecMeasure.from_q(n, 0.5), rng, size=size)
+    info = shuffling._small_masks.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (2, 2, 2)
 
 
 def test_vertical_count_law_exact_vs_enumeration():
