@@ -24,21 +24,22 @@ sometimes quoted for this model fails the brute-force enumeration check,
 which the tests here run at small sizes.)  Everything exponent-heavy is done
 in log space so large M costs nothing in stability.
 
-The brute-force covers come from the perfect-matching backtracker that also
-enumerates Aztec tilings (shuffling._perfect_matchings), and the exact
-transfer counting steps walks with hexagon's ``_moves``.
+The exact partition polynomial counts the walk families by the
+Lindström-Gessel-Viennot determinant of the 2M-step transfer matrix
+(partition_polynomial), and the brute-force covers come from the
+perfect-matching backtracker that also enumerates Aztec tilings
+(shuffling._perfect_matchings).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .hexagon import _moves
 from .shuffling import _perfect_matchings
 
 __all__ = [
@@ -134,7 +135,12 @@ def log_partition_function(spec: BrickLatticeSpec) -> float:
 
 
 def partition_function(spec: BrickLatticeSpec) -> float:
-    return math.exp(log_partition_function(spec))
+    """Z itself; a Z outside the normal double range raises ValueError."""
+    log_z = log_partition_function(spec)
+    if not math.log(sys.float_info.min) <= log_z <= math.log(sys.float_info.max):
+        raise ValueError(f"Z = exp({log_z!r}) is outside the double range; "
+                         f"log_partition_function gives log Z")
+    return math.exp(log_z)
 
 
 def free_energy(spec: BrickLatticeSpec) -> float:
@@ -167,36 +173,46 @@ def free_energy_limit(z: float, w: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomial via non-intersecting-walk transfer counting
+# Exact polynomial from the Lindström-Gessel-Viennot determinant
 # ---------------------------------------------------------------------------
 
 
 def partition_polynomial(M: int, N: int) -> dict[int, int]:
     """Exact path counts {L: G_L}: number of families of L non-intersecting
-    periodic walks.  Z = sum_L G_L z^(M(2N+1)-2ML) w^(2ML)."""
+    periodic walks.  Z = sum_L G_L z^(M(2N+1)-2ML) w^(2ML).
+
+    With B[i, j] = 1 where even height 2i neighbours odd height 2j+1,
+    A = (B B^T)^M counts the 2M-step walks between even heights.  Walks on
+    one line cannot cross without meeting, so by Lindström-Gessel-Viennot
+    the families from the heights 2S back to 2S number det A[S, S], and G_L
+    = e_L(A), the coefficient of t^L in det(I + tA).  A is formed on Python
+    ints and its coefficients come from Faddeev-LeVerrier, whose divisions
+    by k are exact.  A has the eigenvalues (2 cos(pi j/(2N+2)))^(2M),
+    j = 1..N+1, so Z = z^(M(2N+1)) det(I + (w/z)^(2M) A) is
+    partition_function in exact form.
+
+    The work is N products of (N+1)-square matrices whose entries have
+    O(MN) bits.  (N+1)^4 M > 10^7 is refused, which keeps a call under
+    about 1 s on a 2-core box and admits N up to 55 at M = 1 and M up to
+    39062 at N = 3."""
     BrickLatticeSpec(M, N)  # the size checks of the float path
-    if (N + 1) * 2 ** (N + 1) * 2 * M > 5_000_000:
-        raise ValueError("transfer counting too large")
-    heights = {0: [2 * k for k in range(N + 1)], 1: [2 * k + 1 for k in range(N)]}
-    counts: dict[int, int] = {}
-    for L in range(0, N + 1):
-        starts = list(itertools.combinations(heights[0], L))
-        total = 0
-        for s0 in starts:
-            # count closed evolutions returning to s0 after 2M steps
-            layer = {s0: 1}
-            for t in range(2 * M):
-                par = (t + 1) % 2
-                nxt: dict[tuple, int] = {}
-                allowed = heights[par]
-                lo, hi = (allowed[0], allowed[-1]) if allowed else (0, 0)
-                for state, cnt in layer.items():
-                    for cand in _moves(state, lo, hi):
-                        nxt[cand] = nxt.get(cand, 0) + cnt
-                layer = nxt
-            total += layer.get(s0, 0)
-        counts[L] = total
-    return counts
+    cost = (N + 1) ** 4 * M
+    if cost > 10**7:
+        raise ValueError(f"exact partition polynomial too large: (N+1)^4 M = {cost} > 10^7")
+    h = np.arange(N + 1)
+    B = (np.abs(2 * h[:, None] - 2 * h[:N] - 1) == 1).astype(object)
+    A = np.linalg.matrix_power(B @ B.T, M)
+    # e_k = tr(A C_k) / k, with C_1 = I and C_{k+1} = e_k I - A C_k
+    e, C = [1], np.identity(N + 1, dtype=object)
+    for k in range(1, N + 1):
+        AC = A @ C
+        q, rem = divmod(AC.trace(), k)
+        if rem:
+            raise AssertionError("a Faddeev-LeVerrier division is not exact")
+        e.append(q)
+        C = -AC
+        C[h, h] += q
+    return dict(enumerate(e))
 
 
 def partition_function_exact(M: int, N: int, z: Fraction, w: Fraction) -> Fraction:

@@ -248,22 +248,17 @@ def ensemble_law_exact(weight: ope.DiscreteWeight, m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _moves(state: tuple[int, ...], lo: int, hi: int) -> list[tuple[int, ...]]:
-    """All +-1 steps of the walks at the increasing heights ``state`` that
-    keep them non-intersecting and inside [lo, hi], built walk by walk so
-    that only non-intersecting prefixes are extended.  Walk 0 varies slowest
-    and -1 comes before +1; an empty ``state`` has the one empty move."""
+def _transitions(spec: HexagonSpec, m: int, state: tuple[int, ...]):
+    """All non-intersecting one-step moves from column m to m+1 that stay
+    inside column m+1's bounds, built walk by walk so that only
+    non-intersecting prefixes are extended.  Walk 0 varies slowest and -1
+    comes before +1."""
+    alpha1, beta1, _, _, _ = column_bounds(spec, m + 1)
     moves = [()]
     for k, s in enumerate(state):
         moves = [mv + (v,) for mv in moves for v in (s - 1, s + 1)
-                 if v > (mv[-1] if k else lo - 1)]
-    return [mv for mv in moves if not mv or mv[-1] <= hi]
-
-
-def _transitions(spec: HexagonSpec, m: int, state: tuple[int, ...]):
-    """All non-intersecting one-step moves from column m to m+1."""
-    alpha1, beta1, _, _, _ = column_bounds(spec, m + 1)
-    return _moves(state, alpha1, beta1)
+                 if v > (mv[-1] if k else alpha1 - 1)]
+    return [mv for mv in moves if mv[-1] <= beta1]
 
 
 def enumerate_walks(spec: HexagonSpec) -> list[WalkFamily]:

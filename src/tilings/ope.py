@@ -44,11 +44,9 @@ __all__ = [
     "DiscreteWeight",
     "OrthonormalSystem",
     "ProjectionKernel",
-    "recurrence_from_weight",
     "krawtchouk_recurrence",
     "build_orthonormal",
     "cd_kernel",
-    "christoffel_darboux_matrix",
     "correlation",
     "sample_dpp",
     "sample_counts",
@@ -60,7 +58,6 @@ __all__ = [
     "discrete_sine_kernel",
     "hahn_edge",
     "hahn_edge_hexagon",
-    "hahn_marginal",
 ]
 
 
@@ -204,11 +201,6 @@ def _lanczos(logw: np.ndarray, nmax: int):
         a[n] = norm
         basis[n + 1] = r / norm
     return a, b, basis
-
-
-def recurrence_from_weight(weight: DiscreteWeight, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    a, b, _basis = _lanczos(weight.log_weight(), nmax)
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -542,24 +534,6 @@ def cd_kernel(system: OrthonormalSystem, rank: int | None = None) -> ProjectionK
     """Projection kernel of the ensemble with ``rank`` particles (defaults to
     the rank the system was built for)."""
     return ProjectionKernel(system=system, rank=system.rank if rank is None else rank)
-
-
-def christoffel_darboux_matrix(system: OrthonormalSystem, rank: int) -> np.ndarray:
-    """Off-diagonal kernel values from the two top functions:
-    a_N (phi_N(x) phi_{N-1}(y) - phi_{N-1}(x) phi_N(y)) / (x - y).
-    The diagonal is filled from the sum form."""
-    if rank + 1 > system.num_degrees:
-        raise ValueError("need one degree beyond the rank for the quotient form")
-    pN = system.table[rank]
-    pN1 = system.table[rank - 1]
-    x = np.arange(system.size + 1, dtype=float)
-    num = np.outer(pN, pN1) - np.outer(pN1, pN)
-    den = x[:, None] - x[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = system.a[rank - 1] * num / den
-    d = np.einsum("nx,nx->x", system.table[:rank], system.table[:rank])
-    np.fill_diagonal(K, d)
-    return K
 
 
 def correlation(kernel: ProjectionKernel, points) -> float:
@@ -925,13 +899,3 @@ def hahn_edge_hexagon(lam: float, mu: float) -> float:
     return (mu + 1) / (2 * mu) + math.sqrt((2 * lam + 1) * mu * (2 * lam - mu)) / (
         2 * lam * mu
     )
-
-
-def hahn_marginal(weight: DiscreteWeight, n: int, t: int) -> float:
-    """One-point marginal u(t) = K(t,t)/n of the n-particle Hahn ensemble."""
-    if weight.family not in ("hahn", "associated_hahn"):
-        raise ValueError("hahn_marginal expects a Hahn-type weight")
-    system = build_orthonormal(weight, n)
-    if not 0 <= t <= weight.size:
-        raise ValueError("t outside support")
-    return float((system.table[:n, t] ** 2).sum()) / n

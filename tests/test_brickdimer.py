@@ -183,8 +183,8 @@ def test_transfer_polynomial_matches_enumeration():
 
 
 def partition_polynomial_by_sign_product(M, N):
-    """Oracle: the transfer count of partition_polynomial, stepping every
-    state by all 2^L sign vectors and filtering afterwards."""
+    """Oracle: G_L by counting walk states, stepping every state by all 2^L
+    sign vectors and filtering afterwards."""
     heights = {0: [2 * k for k in range(N + 1)], 1: [2 * k + 1 for k in range(N)]}
     counts = {}
     for L in range(0, N + 1):
@@ -212,6 +212,45 @@ def partition_polynomial_by_sign_product(M, N):
 def test_partition_polynomial_matches_sign_product():
     for (M, N) in [(3, 4), (4, 5)]:
         assert partition_polynomial(M, N) == partition_polynomial_by_sign_product(M, N)
+
+
+@pytest.mark.parametrize("M, N, z, w", [
+    (3, 20, Fraction(1), Fraction(1)),
+    (5, 30, Fraction(1, 2), Fraction(7, 10)),
+    (20, 12, Fraction(1), Fraction(3, 5)),
+])
+def test_exact_partition_function_matches_spectral_product(M, N, z, w):
+    exact = partition_function_exact(M, N, z, w)
+    spectral = partition_function(BrickLatticeSpec(M=M, N=N, z=float(z), w=float(w)))
+    assert abs(spectral / exact - 1) < 1e-12
+
+
+def test_partition_polynomial_at_the_walk_count_boundary():
+    # (1, 16): the largest N under the former guard (N+1) 2^(N+1) 2M <= 5e6
+    GL = partition_polynomial(1, 16)
+    assert sorted(GL) == list(range(17)) and GL[0] == 1
+    assert abs(sum(GL.values()) / partition_function(BrickLatticeSpec(1, 16)) - 1) < 1e-12
+
+
+def test_partition_polynomial_guard_refuses_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the guard let the work start")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", no_work)
+    for M, N in [(1001, 9), (1, 56), (10**9, 10**6)]:
+        with pytest.raises(ValueError, match="too large"):
+            partition_polynomial(M, N)
+    with pytest.raises(AssertionError, match="the guard let the work start"):
+        partition_polynomial(1000, 9)  # (N+1)^4 M = 10^7 is admitted
+
+
+def test_partition_function_outside_double_range_raises():
+    spec = BrickLatticeSpec(M=200, N=400, z=1.0, w=1.0)
+    with pytest.raises(ValueError, match="log_partition_function"):
+        partition_function(spec)
+    with pytest.raises(ValueError, match="log_partition_function"):
+        partition_function(BrickLatticeSpec(M=200, N=400, z=0.01, w=0.001))
+    assert math.isfinite(free_energy(spec))
 
 
 def test_free_energy_frozen_branch():

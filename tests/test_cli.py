@@ -282,6 +282,14 @@ def test_dimer_z_exact_mode(capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_dimer_z_exact_mode_at_a_size_the_float_path_also_reaches(capsys):
+    argv = ["dimer-z", "--M", "3", "--N", "20", "--z", "1", "--w", "1"]
+    assert run(argv + ["--mode", "exact"]) == 0
+    exact = int(capsys.readouterr().out)
+    assert run(argv) == 0
+    assert abs(float(capsys.readouterr().out) / exact - 1) < 1e-12
+
+
 def test_hexagon_mcmc_replicas_are_independent_streams(tmp_path):
     # replica r is sample_hexagon on stream (seed, r), however many run
     spec = hexagon.HexagonSpec(3, 2, 2)
@@ -476,6 +484,10 @@ def test_config_file_is_checked(tmp_path, capsys, config, message):
                             ("--M 1 --N 1 --z -1 --w 1", "weights must be positive"),
                             ("--M 1 --N 1 --z 1 --w 0", "weights must be positive")]
       for mode in ("float", "exact")),
+    # the README's dimer-free-energy size: Z itself is past the double range
+    (["dimer-z", "--M", "200", "--N", "400", "--z", "1", "--w", "1"],
+     "error: invalid-input: Z = exp(51681.75536020681) is outside the double range; "
+     "log_partition_function gives log Z"),
 ])
 def test_command_line_errors_are_one_line(capsys, argv, line):
     assert run(argv) == 2
