@@ -140,10 +140,13 @@ _ANCHOR_DTYPE = np.int32
 
 def _anchor_array(rows: Iterable[tuple[int, int, bool]] | np.ndarray) -> np.ndarray:
     """Read-only (k, 3) array of rows (x, y, horizontal), sorted like Domino
-    tuples."""
+    tuples.  Rows that arrive strictly increasing are copied, not sorted."""
     rows = rows if isinstance(rows, np.ndarray) else list(rows)
-    a = np.asarray(rows, dtype=_ANCHOR_DTYPE).reshape(-1, 3)
-    a = a[np.lexsort(a.T[::-1])]
+    a = np.array(rows, dtype=_ANCHOR_DTYPE, order="C").reshape(-1, 3)
+    lo, hi = a[:-1], a[1:]
+    gt, eq = hi > lo, hi == lo
+    if not (gt[:, 0] | eq[:, 0] & (gt[:, 1] | eq[:, 1] & gt[:, 2])).all():
+        a = a[np.lexsort(a.T[::-1])]
     a.flags.writeable = False
     return a
 

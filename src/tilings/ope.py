@@ -16,7 +16,8 @@ projection kernel
     K(x, y) = sum_{n<N} phi_n(x) phi_n(y)
 
 drives everything downstream: determinantal correlations, exact sequential
-DPP sampling (every step draws its site by one routine, _draw_site), counting
+DPP sampling (a sequential step draws its site by _draw_site, a
+Christoffel-Darboux step by rejection from an earlier diagonal), counting
 statistics, gap probabilities and number variance.  Sites are read in one
 place, ProjectionKernel._check_sites, which takes only integers in the window.
 
@@ -578,27 +579,35 @@ def _recurrence_residual(system: OrthonormalSystem, rank: int) -> float:
     return worst
 
 
-def _check_diagonal(d: np.ndarray, step: int) -> None:
-    """Raises :class:`KernelConditionError` when the conditional diagonal d
-    has an entry below -1e-8."""
-    if d.min() < -1e-8:
-        raise KernelConditionError(f"conditional diagonal reached {d.min():.3e} at step {step}")
+def _check_diagonal(d: np.ndarray, step: int) -> float:
+    """The minimum of the conditional diagonal d; raises
+    :class:`KernelConditionError` when it is below -1e-8."""
+    low = np.minimum.reduce(d)
+    if low < -1e-8:
+        raise KernelConditionError(f"conditional diagonal reached {low:.3e} at step {step}")
+    return low
+
+
+def _check_mass(mass: float, left: int, step: int) -> None:
+    """Raises :class:`KernelConditionError` when the clipped mass of the
+    conditional diagonal differs from ``left``, the points still to draw, by
+    more than 1e-6."""
+    if not abs(mass - left) <= 1e-6:
+        raise KernelConditionError(
+            f"conditional diagonal has mass {mass:.9g} at step {step}, expected {left}"
+        )
 
 
 def _draw_site(d: np.ndarray, left: int, step: int, rng: np.random.Generator) -> int:
     """A site x drawn with probability proportional to the clipped
     conditional diagonal max(d, 0), by one ``rng.random()`` scaled to its
     mass, so d(x) > 0.  Raises :class:`KernelConditionError` when d fails
-    _check_diagonal or its clipped mass differs from ``left``, the points
-    still to draw, by more than 1e-6."""
-    _check_diagonal(d, step)
-    p = np.maximum(d, 0.0)
+    _check_diagonal or _check_mass."""
+    # with no negative entry, max(d, 0) is d bit for bit
+    p = d if _check_diagonal(d, step) >= 0 else np.maximum(d, 0.0)
     cdf = p.cumsum()
     tot = cdf[-1]
-    if not abs(tot - left) <= 1e-6:
-        raise KernelConditionError(
-            f"conditional diagonal has mass {tot:.9g} at step {step}, expected {left}"
-        )
+    _check_mass(tot, left, step)
     x = int(cdf.searchsorted(rng.random() * tot, side="right"))
     if x == d.size:  # the product rounded up to the mass
         x = int(np.flatnonzero(p)[-1])
@@ -637,7 +646,17 @@ def _sample_sequential(phi: np.ndarray, diag: np.ndarray, rng: np.random.Generat
 def _sample_cd(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray:
     """All but the last _HANDOVER points of a draw, by the Christoffel-Darboux
     form of the conditional kernels, then the rest by _sample_sequential on
-    a rebuilt table; returns the sites in the order drawn."""
+    a rebuilt table; returns the sites in the order drawn.
+
+    Each step checks d as _draw_site does (_check_diagonal, _check_mass),
+    then draws x by rejection: a proposal from the CDF of ref = max(d', 0),
+    where d' is the diagonal of an earlier step, is kept with probability
+    max(d, 0)(x) / ref(x).  A step lowers d by c = t^2 d(x) >= 0 and sets
+    d(x) = 0, and a rounded difference is monotone, so max(d, 0) <= ref
+    holds site by site in floating point and the kept x has exactly the law
+    of max(d, 0).  ref and its CDF are taken anew when the mass left falls
+    below half of ref's, so a step makes at most 2 proposals on average (1.38
+    at K = 2000, rank 500, and 4 cumulative sums per draw, not one a step)."""
     G0, d0, a, logw = kernel._cd_form
     N = kernel.rank
     M = G0.shape[1]
@@ -652,7 +671,20 @@ def _sample_cd(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray
     head = N - _HANDOVER
     chosen = np.empty(head, dtype=int)
     for i in range(head):
-        x = _draw_site(d, N - i, i, rng)
+        low = _check_diagonal(d, i)
+        mass = np.add.reduce(d if low >= 0 else np.maximum(d, 0.0))
+        _check_mass(mass, N - i, i)
+        if i == 0 or mass < ref_mass / 2:
+            ref = np.maximum(d, 0.0)
+            ref_cdf = ref.cumsum()
+            ref_mass = ref_cdf[-1]
+        # a proposal x from ref, kept with probability max(d, 0)(x) / ref(x)
+        while True:
+            x = int(ref_cdf.searchsorted(rng.random() * ref_mass, side="right"))
+            if x == M:  # the product rounded up to the mass
+                x = int(np.flatnonzero(ref)[-1])
+            if rng.random() * ref[x] < d[x]:
+                break
         piv = d[x]
         # t = c / d(x) for the column c = K_i(., x) of the conditional
         # kernel, and the update that keeps (x - y) K_{i+1}(x, y) =
@@ -728,8 +760,15 @@ def sample_dpp(kernel: ProjectionKernel, rng: np.random.Generator) -> np.ndarray
     projecting twice when d(x) < K(x, x) / 16, then sets d -= (u_i phi)^2
     and d(x) = 0.
 
-    Both draw x the same way (_draw_site): one ``rng.random()``, scaled to
-    the mass of the clipped diagonal max(d, 0), is searched in its CDF.
+    A sequential step draws x by _draw_site: one ``rng.random()``, scaled to
+    the mass of the clipped diagonal max(d, 0), is searched in its CDF.  A
+    Christoffel-Darboux step draws x with the same law by rejection from
+    the CDF of an earlier step's clipped diagonal, which bounds max(d, 0)
+    since d only falls, with two ``rng.random()`` per proposal (see
+    _sample_cd).  So a seed gives the samples of the plain sequential
+    sampler at or below rank 32 and on every kernel without the
+    Christoffel-Darboux form; above rank 32 on a kernel with it, the steps
+    before the hand-over read the stream their own way.
     Raises :class:`KernelConditionError` when, at any step or at the end,
     the diagonal drops below -1e-8 or its clipped mass differs from N - i by
     more than 1e-6 (a kernel that is not a rank-N projection), or on a

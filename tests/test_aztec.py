@@ -14,6 +14,7 @@ from tilings.aztec import (
     GeometryError,
     Tiling,
     TilingError,
+    _anchor_array,
     _from_cs,
     classify_domino,
     diamond_squares,
@@ -417,6 +418,26 @@ def test_validate_rejects_broken_tilings():
                             (missing, "covered 10 squares")):
         with pytest.raises(TilingError, match=message):
             broken.validate()
+
+
+def test_anchor_array_sorts_only_what_is_out_of_order():
+    t = sampled_16()
+    rows = np.array(t.anchors)
+    # permuted rows, and rows that differ only in the later columns, sort
+    for perm in (np.random.default_rng(3).permutation(len(rows)), np.arange(len(rows))[::-1]):
+        assert np.array_equal(_anchor_array(rows[perm]), t.anchors)
+    assert np.array_equal(_anchor_array([(0, 1, 1), (0, 1, 0), (0, 0, 1)]),
+                          [(0, 0, 1), (0, 1, 0), (0, 1, 1)])
+    # sorted rows come back equal, as a read-only copy that does not alias them
+    kept = _anchor_array(rows)
+    assert np.array_equal(kept, t.anchors) and kept.flags.c_contiguous
+    assert not kept.flags.writeable and rows.flags.writeable
+    assert not np.shares_memory(kept, rows)
+    # a repeated row is not strictly increasing, and the tiling still fails
+    doubled = Tiling._from_anchors(16, _anchor_array(np.insert(rows, 5, rows[5], axis=0)))
+    assert np.array_equal(doubled.anchors[5], doubled.anchors[6])
+    with pytest.raises(TilingError, match="covered twice"):
+        doubled.validate()
 
 
 def test_even_vertical_count_exhaustive_and_sampled():

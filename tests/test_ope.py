@@ -967,6 +967,26 @@ def test_missed_handover_certificate_raises():
         sample_dpp(kern, np.random.default_rng(5))
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("scale", r"conditional diagonal has mass 40\.04\d* at step 0, expected 40"),
+    ("negate", r"conditional diagonal reached -1\.000e-07 at step 0"),
+])
+def test_christoffel_darboux_steps_check_the_diagonal(edit, message):
+    # the rank-40 kernel is drawn by the Christoffel-Darboux steps, which
+    # check d before each draw: a diagonal 0.1% too heavy fails the mass
+    # check, and one bulk site at -1e-7 fails the sign check
+    kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(200, 0.5), 40))
+    G, d, a, logw = kern._cd_form
+    d = d.copy()
+    if edit == "scale":
+        d *= 1.001
+    else:
+        d[100] = -1e-7
+    kern._cd_form = G, d, a, logw
+    with pytest.raises(KernelConditionError, match=message):
+        sample_dpp(kern, np.random.default_rng(5))
+
+
 @pytest.mark.parametrize("K, N", [(10, 3), (20, 8)])
 def test_dpp_sampler_rejects_rank_deficient_kernel(K, N):
     # phi_2 = phi_1 leaves a kernel of rank N - 1 with trace N: no N-point
