@@ -9,9 +9,9 @@ every such shape, and ``lpp_value`` is its k = 1 case.  It holds the bordered
 (M+1) x (N+1) table row-major in one flat array, where the anti-diagonal
 i + j = d is a strided slice with step N, and its upper, left and upper-left
 neighbours are the same slice shifted by -(N+1), -1 and -(N+2); ``_diagonals``
-yields the four slices of each diagonal.  So the table fills diagonal by
-diagonal, each diagonal a few ufuncs on views, with any leading axes of W
-swept together.
+returns the four slices of every diagonal as one tuple, cached per (M, N).
+So the table fills diagonal by diagonal, each diagonal a few ufuncs on views,
+with any leading axes of W swept together.
 
 The exact distribution function is a gap probability of the Krawtchouk
 ensemble: P[G(M,N) <= t] equals the probability that the largest of M
@@ -31,6 +31,7 @@ drops at most _TAIL_TOL = 1e-15.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 
@@ -69,16 +70,21 @@ def sample_geometric(q: float, size, rng: np.random.Generator) -> np.ndarray:
 _INT64_LIMIT = np.iinfo(np.int64).max // 4
 
 
-def _diagonals(M: int, N: int):
+@functools.lru_cache(maxsize=8)
+def _diagonals(M: int, N: int) -> tuple:
     """The anti-diagonals d = 2, ..., M + N of the cells 1 <= i <= M,
     1 <= j <= N in the row-major flat (M+1) x (N+1) table, each as four
     slices with step N: its cells, cell (i, d - i) at d + i*N, and their
-    upper (i-1, j), left (i, j-1) and upper-left (i-1, j-1) neighbours."""
-    if M and N:
-        for d in range(2, M + N + 1):
-            a, b = d + max(1, d - N) * N, d + min(M, d - 1) * N + 1
-            yield (slice(a, b, N), slice(a - N - 1, b - N - 1, N),
-                   slice(a - 1, b - 1, N), slice(a - N - 2, b - N - 2, N))
+    upper (i-1, j), left (i, j-1) and upper-left (i-1, j-1) neighbours.
+    Cached per (M, N): repeated sweeps of one size share one tuple."""
+    if not (M and N):
+        return ()
+    out = []
+    for d in range(2, M + N + 1):
+        a, b = d + max(1, d - N) * N, d + min(M, d - 1) * N + 1
+        out.append((slice(a, b, N), slice(a - N - 1, b - N - 1, N),
+                    slice(a - 1, b - 1, N), slice(a - N - 2, b - N - 2, N)))
+    return tuple(out)
 
 
 def _shapes(W: np.ndarray, parts: int) -> np.ndarray:
@@ -97,10 +103,12 @@ def _shapes(W: np.ndarray, parts: int) -> np.ndarray:
     S = np.zeros((*lead, M + 1, N + 1, max(parts, 1)), dtype=np.int64)
     S[..., 1:, 1:, 0] = W
     flat = S.reshape(*lead, (M + 1) * (N + 1), S.shape[-1])
-    part1 = flat[..., 0]  # no parts axis: k = 1 sweeps as fast as a 1-D table
+    # part 1 with the cell axis first and no parts axis: k = 1 sweeps as
+    # fast as a 1-D table, and one plain index serves any leading axes
+    part1 = np.moveaxis(flat[..., 0], -1, 0)
     for cell, up, left, corner in _diagonals(M, N):
         # part 1 holds w until its diagonal is reached
-        part1[..., cell] += np.maximum(part1[..., up], part1[..., left])
+        part1[cell] += np.maximum(part1[up], part1[left])
         if parts > 1:
             mu, nu = flat[..., up, :], flat[..., left, :]
             rho = flat[..., corner, :-1]
@@ -139,6 +147,11 @@ def lpp_cdf_exact(M: int, N: int, q: float, t: int) -> float:
     The table stores its entries below 2^-511 as zero; against the
     unflushed table the result moves by about 2 M^2 2^-510 sqrt(K+1) at
     most, with K = t+N+M-1: below 1e-140 for M <= 10^4 and K <= 10^5.
+
+    The error is absolute, not relative: a value below about 1e-20 is
+    roundoff in the Gram determinants, not the probability.  At
+    (M, N, q, t) = (20, 20, 1/2, 1) it returns 1.75e-96 against the exact
+    9.62e-113, and nothing flags it.
     """
     if not 0 <= q < 1:
         raise ValueError("q must lie in [0, 1)")

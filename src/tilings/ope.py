@@ -75,9 +75,26 @@ class KernelConditionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+# log k! for k = 0, 1, ...: read-only, grown to the largest k asked for
+_LOG_FACTORIAL = np.zeros(1)
+_LOG_FACTORIAL.flags.writeable = False
+
+
 def _log_gamma_run(c: float, n: int) -> np.ndarray:
-    """log Gamma(c + k) for k = 0..n, c > 0."""
-    return np.fromiter(map(math.lgamma, (c + np.arange(n + 1.0)).tolist()), float, n + 1)
+    """log Gamma(c + k) for k = 0..n, c > 0.  At c = 1 (log k!) it is a
+    read-only view of _LOG_FACTORIAL, whose entries are the same
+    math.lgamma values."""
+    global _LOG_FACTORIAL
+    if c != 1:
+        return np.fromiter(map(math.lgamma, (c + np.arange(n + 1.0)).tolist()), float, n + 1)
+    have = len(_LOG_FACTORIAL)
+    if n >= have:
+        more = np.fromiter(map(math.lgamma, (1.0 + np.arange(have, n + 1.0)).tolist()),
+                           float, n + 1 - have)
+        table = np.concatenate((_LOG_FACTORIAL, more))
+        table.flags.writeable = False
+        _LOG_FACTORIAL = table
+    return _LOG_FACTORIAL[: n + 1]
 
 
 @dataclass(frozen=True)
@@ -371,10 +388,11 @@ def _phi_table(x: np.ndarray, logw: np.ndarray, a: np.ndarray, b: np.ndarray,
 _RESIDUAL_MAX = 1e-9
 
 
-def _check_gram(G: np.ndarray, bound: float) -> float:
-    """max|G - I|; raises :class:`ConstructionError` naming the worst degree
-    pair when it is above ``bound`` or not finite."""
-    E = np.abs(G - np.eye(len(G)))
+def _check_gram(E: np.ndarray, bound: float) -> float:
+    """max|E| of the deviation E = G - I of a Gram matrix G; raises
+    :class:`ConstructionError` naming the worst degree pair when it is above
+    ``bound`` or not finite."""
+    E = np.abs(E)
     residual = float(E.max())
     if not residual <= bound:
         i, j = np.unravel_index(E.argmax(), E.shape)  # argmax finds a NaN too
@@ -416,7 +434,7 @@ def build_orthonormal(weight: DiscreteWeight, N: int,
     unpolished = None
     if validate:
         G = table @ table.T
-        residual = _check_gram(G, _RESIDUAL_MAX)
+        residual = _check_gram(G - np.eye(nrows), _RESIDUAL_MAX)
         if residual > 1e-13:
             if nrows == N + 1:
                 unpolished = (table[[N, N - 1]], np.einsum("nx,nx->x", table[:N], table[:N]))
@@ -428,7 +446,7 @@ def build_orthonormal(weight: DiscreteWeight, N: int,
             # raw table is, within the same Gram bound
             table = (1.5 * np.eye(nrows) - 0.5 * G) @ table
             _ldexp_columns(table, None)
-            residual = _check_gram(table @ table.T, 1e-10)
+            residual = _check_gram(table @ table.T - np.eye(nrows), 1e-10)
     return OrthonormalSystem(
         weight=weight, rank=N, num_degrees=nrows, a=a, b=b, table=table,
         log_total_weight=log_total, orthonormality_residual=residual,
@@ -818,6 +836,12 @@ def _max_particle_cdf(table: np.ndarray, rank: int, s: int) -> float:
     raised.  The ``rank`` particles sit on distinct sites, so s + 1 < rank
     gives exactly 0.0.
 
+    det(Phi_B Phi_B^T) takes one LU (slogdet); a non-positive determinant
+    gives 0.0.  log det(Phi Phi^T) is read off E = G - I, the deviation
+    the check has just bounded, by _log_det_series: its error is at most
+    ||E||_F^3 / (3 (1 - ||E||_F)) with ||E||_F <= rank 1e-9, so below
+    5.6e-21 at rank 256 and below 3.4e-16 at rank 10^4.
+
     A Krawtchouk table stores its entries below 2^-511 as zero, so neither
     Gram product meets a subnormal product.  Against the unflushed table,
     each Gram entry moves by at most 2^-510 sqrt(size+1) and the ratio by
@@ -830,13 +854,23 @@ def _max_particle_cdf(table: np.ndarray, rank: int, s: int) -> float:
         return 0.0
     B, A = table[:, : s + 1], table[:, s + 1:]
     GB = B @ B.T
-    G = A @ A.T
-    G += GB
-    _check_gram(G, _RESIDUAL_MAX)
+    E = A @ A.T
+    E += GB
+    E.flat[:: len(E) + 1] -= 1.0  # G - I
+    _check_gram(E, _RESIDUAL_MAX)
     sign, logdet_b = np.linalg.slogdet(GB[:rank, :rank])
     if sign <= 0:  # det(G_B) is not positive
         return 0.0
-    return min(1.0, math.exp(float(logdet_b - np.linalg.slogdet(G[:rank, :rank])[1])))
+    return min(1.0, math.exp(float(logdet_b) - _log_det_series(E[:rank, :rank])))
+
+
+def _log_det_series(E: np.ndarray) -> float:
+    """log det(I + E) to two terms of its series, tr E - tr(E^2) / 2.
+
+    With ||E||_F < 1 the series sum_k (-1)^(k+1) tr(E^k) / k converges, and
+    as |tr(E^k)| <= ||E||_F^k for k >= 2 the terms dropped, k >= 3, sum to
+    at most ||E||_F^3 / (3 (1 - ||E||_F)) in magnitude."""
+    return float(E.trace() - 0.5 * np.einsum("ij,ji->", E, E))
 
 
 def max_particle_cdf(kernel: ProjectionKernel, s: int) -> float:

@@ -107,7 +107,7 @@ def _peel(S: np.ndarray) -> np.ndarray:
     n = S.shape[0] - 1
     flat = S.reshape((n + 1) ** 2, n)
     w = np.zeros((n + 1) ** 2, dtype=np.int64)
-    for cell, up, left, corner in reversed(list(_diagonals(n, n))):
+    for cell, up, left, corner in reversed(_diagonals(n, n)):
         lam, mu, nu = flat[cell], flat[up], flat[left]
         w[cell] = lam[:, 0] - np.maximum(mu[:, 0], nu[:, 0])
         rho = np.minimum(mu, nu)

@@ -18,6 +18,7 @@ from tilings.growth import (
     _bessel_cut,
     _bessel_gram,
     _bessel_tail,
+    _diagonals,
     _shapes,
     aztec_partition,
     bessel_kernel,
@@ -83,6 +84,36 @@ def test_lpp_batched_equals_per_slice():
         flat = W.reshape(-1, *shape[-2:])
         expected = np.stack([lpp_value(w) for w in flat]).reshape(shape)
         assert (G == expected).all()
+
+
+def diagonals_oracle(M, N):
+    """The slices of _diagonals, rebuilt cell by cell from (i, j) -> i*(N+1) + j."""
+    at = lambda i, j: i * (N + 1) + j
+    for d in range(2, M + N + 1) if M and N else ():
+        rows = range(max(1, d - N), min(M, d - 1) + 1)
+        yield ([at(i, d - i) for i in rows], [at(i - 1, d - i) for i in rows],
+               [at(i, d - i - 1) for i in rows], [at(i - 1, d - i - 1) for i in rows])
+
+
+@pytest.mark.parametrize("M, N", [(0, 0), (0, 3), (4, 0), (1, 1), (1, 5), (6, 1), (3, 7), (7, 3), (5, 5)])
+def test_diagonals_are_a_cached_tuple_of_the_cell_slices(M, N):
+    diags = _diagonals(M, N)
+    assert isinstance(diags, tuple) and _diagonals(M, N) is diags
+    flat = np.arange((M + 1) * (N + 1))
+    got = [tuple(flat[sl].tolist() for sl in four) for four in diags]
+    assert got == list(diagonals_oracle(M, N))
+    assert len(diags) == (M + N - 1 if M and N else 0)
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_shapes_batched_equals_per_matrix(parts):
+    rng = np.random.default_rng(28)
+    for shape in [(5, 4, 6), (2, 3, 5, 5), (3, 1, 4), (4, 6, 1)]:
+        W = rng.integers(0, 6, size=shape)
+        S = _shapes(W, parts)
+        flat = W.reshape(-1, *shape[-2:])
+        expected = np.stack([_shapes(w, parts) for w in flat])
+        assert (S == expected.reshape(S.shape)).all()
 
 
 def test_lpp_rejects_bad_input():

@@ -582,6 +582,75 @@ def test_max_particle_cdf_rejects_a_table_that_is_not_orthonormal():
             max_particle_cdf(kern, smax)
 
 
+def householder_gram_deviation(d, rng):
+    """E = Q diag(d) Q with Q = I - v v^T / 128, v in {-1, 1}^256: Q is
+    orthogonal and has entries in 2^-7 Z, so for d in 2^-40 Z with
+    |d| < 2^11 2^-40 every entry of E is exact and the eigenvalues of E are
+    exactly d."""
+    v = rng.choice([-1.0, 1.0], size=d.size)
+    Q = np.eye(d.size) - np.outer(v, v) / 128
+    return Q @ (d[:, None] * Q)
+
+
+def test_log_det_series_is_within_its_remainder_bound():
+    rng = np.random.default_rng(28)
+    for _ in range(3):
+        d = rng.integers(-1099, 1100, size=256) * 2.0**-40
+        E = householder_gram_deviation(d, rng)
+        assert 0.9e-9 < np.abs(E).max() <= 1e-9  # at the edge of the Gram check
+        fro = math.sqrt(float((E * E).sum()))
+        bound = fro**3 / (3 * (1 - fro))
+        exact = math.fsum(map(math.log1p, d.tolist()))
+        assert abs(ope._log_det_series(E) - exact) <= bound
+        # the LU log-determinant it replaces agrees to its own rounding
+        G = np.eye(256) + E
+        assert abs(ope._log_det_series(G - np.eye(256)) - np.linalg.slogdet(G)[1]) <= bound + 256 * 2.0**-52
+    # the bound the docstring states at rank 256 and max|E| = 1e-9
+    fro = 256 * 1e-9
+    assert fro**3 / (3 * (1 - fro)) < 5.6e-21
+
+
+def test_max_particle_cdf_checks_the_gram_edge_and_the_sign_of_det_gb():
+    rng = np.random.default_rng(28)
+    table = np.linalg.qr(rng.standard_normal((40, 9)))[0].T  # orthonormal rows
+    exact = ope._max_particle_cdf(table, 8, 30)
+    assert 0 < exact < 1
+    for scale, ok in [(1 + 4e-10, True), (1 + 6e-10, False)]:
+        bent = table.copy()
+        bent[3] *= scale  # Gram entry (3, 3) moves by about 2 (scale - 1)
+        if ok:
+            assert abs(ope._max_particle_cdf(bent, 8, 30) - exact) <= 1e-8
+        else:
+            with pytest.raises(ConstructionError, match=r"at degrees \(3,3\)"):
+                ope._max_particle_cdf(bent, 8, 30)
+    # rows e0 and e2: both particles sit on {0, 2}, and det(G_B) on B = {0, 1} is 0
+    two = np.eye(4)[[0, 2]]
+    assert ope._max_particle_cdf(two, 2, 1) == 0.0
+    assert ope._max_particle_cdf(two, 2, 2) == 1.0
+
+
+def test_log_factorial_table_grows_out_of_order(monkeypatch):
+    fresh = np.zeros(1)
+    fresh.flags.writeable = False
+    monkeypatch.setattr(ope, "_LOG_FACTORIAL", fresh)
+    for n in (2000, 10, 5000):
+        run = ope._log_gamma_run(1, n)
+        assert run.shape == (n + 1,) and not run.flags.writeable
+        assert run.tolist() == [math.lgamma(k + 1) for k in range(n + 1)]
+    assert len(ope._LOG_FACTORIAL) == 5001 and not ope._LOG_FACTORIAL.flags.writeable
+    with pytest.raises(ValueError):
+        ope._log_gamma_run(1, 10)[3] = 0.0
+
+
+def test_log_weight_returns_a_fresh_writable_array():
+    for w in [DiscreteWeight.krawtchouk(30, 0.3), DiscreteWeight.hahn(20, 2, 3),
+              DiscreteWeight.associated_hahn(20, 1, 4)]:
+        first = w.log_weight()
+        assert first.flags.writeable and first.flags.owndata
+        first[:] = 0.0
+        assert not np.array_equal(w.log_weight(), first)
+
+
 def test_kernel_diagonal_is_cached_and_returned_as_a_copy():
     kern = cd_kernel(build_orthonormal(DiscreteWeight.krawtchouk(30, 0.4), 10))
     d = kern.diagonal()
